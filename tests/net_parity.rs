@@ -19,6 +19,7 @@ use geogossip::core::prelude::*;
 use geogossip::graph::GeometricGraph;
 use geogossip::net::{GeographicNet, NetProtocol, NetScheduler, PairwiseNet};
 use geogossip::routing::TargetSelector;
+use geogossip::sim::fault::{ChurnEvent, FaultSpec};
 use geogossip::sim::scenario::{ScenarioSpec, TrialCost};
 use geogossip::sim::transport::{LatencyModel, TransportSpec};
 use geogossip::sim::{AsyncEngine, EngineReport, StopCondition};
@@ -235,6 +236,59 @@ fn instant_transport_specs_match_bare_specs_at_the_runner_level() {
                     net_trial.metric("messages_sent"),
                     net_trial.metric("messages_delivered")
                 );
+            }
+        }
+    }
+}
+
+/// Node faults must not change a trial either: with stale sensors and a
+/// churn schedule (one rejoining set, one permanent crash), the net runtime's
+/// fault plan must kill, revive and freeze exactly the sensors the
+/// shared-memory orchestrator does, on exactly the same ticks.
+#[test]
+fn instant_transport_faulted_specs_match_bare_faulted_specs() {
+    let runner = builtin_runner();
+    let faults = FaultSpec {
+        drop_rate: 0.0,
+        stale_fraction: 0.1,
+        churn: vec![
+            ChurnEvent {
+                fraction: 0.2,
+                at_tick: 50,
+                rejoin_tick: Some(500),
+            },
+            ChurnEvent {
+                fraction: 0.05,
+                at_tick: 200,
+                rejoin_tick: None,
+            },
+        ],
+    };
+    for name in ["pairwise", "geographic"] {
+        for surface in [Topology::UnitSquare, Topology::Torus] {
+            let mut bare = ScenarioSpec::standard(name, 96, 0.1)
+                .with_trials(2)
+                .with_seed(71)
+                .with_faults(faults.clone());
+            bare.topology.surface = surface;
+            bare.stop = bare.stop.with_max_ticks(2_000_000);
+            let transported = bare.clone().with_transport(TransportSpec::default());
+
+            let bare_report = runner.run(&bare).expect("bare faulted spec runs");
+            let net_report = runner
+                .run(&transported)
+                .expect("faulted transport spec runs");
+
+            assert_eq!(net_report.trials.len(), bare_report.trials.len());
+            for (net_trial, bare_trial) in net_report.trials.iter().zip(&bare_report.trials) {
+                assert_eq!(
+                    &without_ledger_metrics(net_trial),
+                    bare_trial,
+                    "{name}/{surface:?}: instant transport changed the faulted trial"
+                );
+                // The faults really fired: sensors died and stale nodes exist.
+                assert!(bare_trial.metric("dead_activations").unwrap_or(0.0) > 0.0);
+                assert_eq!(bare_trial.metric("stale_nodes"), Some(9.0));
             }
         }
     }
