@@ -9,13 +9,12 @@
 //! the unreliable-wire counters only when the reliability block is lossy, so
 //! lossless runs keep the exact metric schema of a bare transport run.
 
-use crate::fault::NetFaultPlan;
 use crate::protocols::{GeographicNet, PairwiseNet};
 use crate::scheduler::{MessageLedger, NetProtocol, NetScheduler};
 use geogossip_graph::GeometricGraph;
 use geogossip_routing::TargetSelector;
 use geogossip_sim::engine::{EngineReport, StopCondition};
-use geogossip_sim::fault::FaultSpec;
+use geogossip_sim::fault::{FaultPlan, FaultSpec};
 use geogossip_sim::scenario::ProtocolSpec;
 use geogossip_sim::transport::{ReliabilitySpec, TransportRuntime, TransportSpec, TransportTrial};
 use geogossip_sim::ProtocolError;
@@ -45,20 +44,14 @@ fn finish(
     protocol: &dyn NetProtocol,
     report: EngineReport,
     ledger: MessageLedger,
-    plan: Option<&NetFaultPlan>,
+    plan: Option<&FaultPlan>,
     reliability: ReliabilitySpec,
 ) -> TransportTrial {
     let mut metrics = protocol.metrics();
     if let Some(plan) = plan {
-        // Same keys, same order as the shared-memory orchestrator's metric
-        // tail. Activation loss has no wire form (the schema rejects the
-        // combination), so dropped_activations is always zero here.
-        metrics.push(("dropped_activations".to_string(), 0.0));
-        metrics.push((
-            "dead_activations".to_string(),
-            plan.dead_activations() as f64,
-        ));
-        metrics.push(("stale_nodes".to_string(), plan.stale_count() as f64));
+        // Activation loss has no wire form (the schema rejects the
+        // combination), so no activation is ever dropped here.
+        metrics.extend(plan.metrics(0));
     }
     metrics.extend(ledger.metrics());
     if !reliability.is_lossless() {
@@ -83,7 +76,7 @@ impl TransportRuntime for NetRuntime {
         stop: StopCondition,
         rng: &mut dyn RngCore,
         net_rng: &mut dyn RngCore,
-        fault_rng: ChaCha8Rng,
+        mut fault_rng: ChaCha8Rng,
         probe: Option<&mut (dyn Probe + '_)>,
     ) -> Result<TransportTrial, ProtocolError> {
         transport.validate()?;
@@ -98,7 +91,7 @@ impl TransportRuntime for NetRuntime {
             ));
         }
         let mut plan =
-            (!faults.is_none()).then(|| NetFaultPlan::new(faults, graph.len(), fault_rng));
+            (!faults.is_none()).then(|| FaultPlan::new(faults, graph.len(), &mut fault_rng));
         match protocol.name.as_str() {
             "pairwise" => {
                 protocol.reject_unknown(&[])?;

@@ -1,10 +1,10 @@
 //! The deterministic simulated scheduler driving sensor actors.
 //!
-//! [`NetScheduler::run`] is a message-passing re-implementation of the
-//! shared-memory engine loop (`geogossip_sim::engine::AsyncEngine::run`):
-//! the same stop checks in the same order, the same squared-domain
-//! convergence fast path (including [`geogossip_sim::engine::SQ_THRESHOLD_SLACK`]),
-//! the same trace stride/thinning discipline, and a Poisson activation clock
+//! [`NetScheduler::run`] drives the message-passing actors with the
+//! shared-memory engine's own stop-and-trace bookkeeping
+//! ([`LoopMonitor`]: the same stop checks in the same order, the same
+//! squared-domain convergence fast path, the same trace stride/thinning) and
+//! node-fault state ([`FaultPlan`]), plus a Poisson activation clock
 //! consuming the identical `"run"` RNG stream. On the instant-lossless
 //! schedule every message a tick produces is delivered before the next loop
 //! iteration observes anything, so reports are **bit-identical** to the
@@ -45,12 +45,13 @@
 //! the original in FIFO order; receivers suppress redeliveries of an
 //! already-processed id, so handlers stay exactly-once.
 
-use crate::fault::NetFaultPlan;
 use crate::message::Message;
 use geogossip_geometry::point::NodeId;
-use geogossip_sim::engine::{EngineReport, SquaredError, StopCondition, StopReason};
-use geogossip_sim::engine::{DEFAULT_MAX_TRACE_POINTS, SQ_THRESHOLD_SLACK};
-use geogossip_sim::metrics::{ConvergenceTrace, TracePoint, TransmissionCounter};
+use geogossip_sim::engine::{
+    EngineReport, LoopMonitor, SquaredError, StopCondition, DEFAULT_MAX_TRACE_POINTS,
+};
+use geogossip_sim::fault::FaultPlan;
+use geogossip_sim::metrics::TransmissionCounter;
 use geogossip_sim::transport::{LatencyModel, ReliabilitySpec};
 use geogossip_sim::{EventQueue, GlobalPoissonClock};
 use geogossip_telemetry::{Event, Probe};
@@ -429,54 +430,9 @@ impl NetScheduler {
         )
     }
 
-    /// Runs `protocol` exactly like [`NetScheduler::run_wire`] — same loop,
-    /// same draws, same report — while streaming telemetry events into
-    /// `probe`. `run_wire` is this with `probe = None`; the unprobed path
-    /// never constructs an event.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_wire_probed(
-        &mut self,
-        protocol: &mut dyn NetProtocol,
-        stop: StopCondition,
-        latency: LatencyModel,
-        reliability: ReliabilitySpec,
-        faults: Option<&mut NetFaultPlan>,
-        rng: &mut dyn RngCore,
-        net_rng: &mut dyn RngCore,
-        probe: Option<&mut (dyn Probe + '_)>,
-    ) -> (EngineReport, MessageLedger) {
-        self.run_wire_inner(
-            protocol,
-            stop,
-            latency,
-            reliability,
-            faults,
-            rng,
-            net_rng,
-            probe,
-        )
-    }
-
     /// Runs `protocol` under the given latency schedule, wire reliability,
-    /// and optional node-fault plan until `stop` is met.
-    ///
-    /// `rng` is the activation stream (the runner's `"run"` trial stream);
-    /// `net_rng` is the dedicated `"net"` trial stream consumed only by
-    /// latency models that actually draw and by the drop/duplicate decisions
-    /// of a lossy reliability block (see the module docs for the frozen draw
-    /// order). `faults`, when present, must be pre-built from the dedicated
-    /// `"faults"` trial stream; churn advances before each tick's activation
-    /// and dead sensors consume their tick without acting, exactly like the
-    /// shared-memory orchestrator.
-    ///
-    /// The loop replicates the shared-memory engine body statement for
-    /// statement; the only additions are the two `deliver_due` drains —
-    /// pending messages (and retransmission timers) due by the tick's exact
-    /// time are processed *before* the tick's activation (network catches up
-    /// to the clock), and the activation's own cascade is drained *after* it
-    /// (instant messages land within their tick). Stop checks therefore
-    /// observe exactly the oracle's transmission totals on the instant
-    /// schedule.
+    /// and optional node-fault plan until `stop` is met — shorthand for
+    /// [`NetScheduler::run_wire_probed`] with no probe attached.
     #[allow(clippy::too_many_arguments)]
     pub fn run_wire(
         &mut self,
@@ -484,11 +440,11 @@ impl NetScheduler {
         stop: StopCondition,
         latency: LatencyModel,
         reliability: ReliabilitySpec,
-        faults: Option<&mut NetFaultPlan>,
+        faults: Option<&mut FaultPlan>,
         rng: &mut dyn RngCore,
         net_rng: &mut dyn RngCore,
     ) -> (EngineReport, MessageLedger) {
-        self.run_wire_inner(
+        self.run_wire_probed(
             protocol,
             stop,
             latency,
@@ -500,25 +456,51 @@ impl NetScheduler {
         )
     }
 
+    /// Runs `protocol` under the given latency schedule, wire reliability,
+    /// and optional node-fault plan until `stop` is met, streaming telemetry
+    /// events into `probe` when one is attached (the report and every draw
+    /// are the same either way; with no probe no event is emitted).
+    ///
+    /// `rng` is the activation stream (the runner's `"run"` trial stream);
+    /// `net_rng` is the dedicated `"net"` trial stream consumed only by
+    /// latency models that actually draw and by the drop/duplicate decisions
+    /// of a lossy reliability block (see the module docs for the frozen draw
+    /// order). `faults`, when present, must be built from the dedicated
+    /// `"faults"` trial stream; churn advances before each tick's activation
+    /// and dead sensors consume their tick without acting, exactly like the
+    /// shared-memory orchestrator.
+    ///
+    /// Stopping and tracing go through the engine's [`LoopMonitor`]; the
+    /// loop's own work is the two `deliver_due` drains — pending messages
+    /// (and retransmission timers) due by the tick's exact time are processed
+    /// *before* the tick's activation (network catches up to the clock), and
+    /// the activation's own cascade is drained *after* it (instant messages
+    /// land within their tick). Stop checks therefore observe exactly the
+    /// oracle's transmission totals on the instant schedule.
     #[allow(clippy::too_many_arguments)]
-    fn run_wire_inner(
+    pub fn run_wire_probed(
         &mut self,
         protocol: &mut dyn NetProtocol,
         stop: StopCondition,
         latency: LatencyModel,
         reliability: ReliabilitySpec,
-        mut faults: Option<&mut NetFaultPlan>,
+        mut faults: Option<&mut FaultPlan>,
         rng: &mut dyn RngCore,
         net_rng: &mut dyn RngCore,
         mut probe: Option<&mut (dyn Probe + '_)>,
     ) -> (EngineReport, MessageLedger) {
+        let mut monitor = LoopMonitor::new(
+            stop,
+            self.sample_every,
+            self.max_trace_points,
+            protocol.relative_error(),
+            protocol.squared_error(),
+        );
         let mut clock = GlobalPoissonClock::new(self.n);
         let mut queue: EventQueue<Envelope> = EventQueue::new();
         let mut tx = TransmissionCounter::new();
         let mut ledger = MessageLedger::default();
-        let mut trace = ConvergenceTrace::new();
         let mut ticks: u64 = 0;
-        let mut stride = self.sample_every.max(1);
         let mut next_id: u64 = 0;
         // Per-sensor seen-id sets, allocated only on the lossy path (the
         // lossless path never assigns a nonzero id, so it never looks here).
@@ -528,37 +510,17 @@ impl NetScheduler {
             vec![HashSet::new(); self.n]
         };
 
-        trace.push(TracePoint {
-            transmissions: 0,
-            ticks: 0,
-            relative_error: protocol.relative_error(),
-        });
-
-        let threshold_hi = protocol.squared_error().map(|sq| {
-            let target = stop.epsilon * sq.initial;
-            (target * target) * SQ_THRESHOLD_SLACK
-        });
-
         let reason = loop {
-            let clearly_above = match (threshold_hi, protocol.squared_error()) {
-                (Some(hi), Some(sq)) => sq.current_sq > hi,
-                _ => false,
-            };
-            if !clearly_above && protocol.relative_error() <= stop.epsilon {
-                if let Some(probe) = probe.as_deref_mut() {
-                    probe.on_event(Event::ConvergenceCrossed {
-                        tick: ticks,
-                        transmissions: tx.total(),
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-                break StopReason::Converged;
-            }
-            if stop.max_ticks.is_some_and(|m| ticks >= m) {
-                break StopReason::TickBudgetExhausted;
-            }
-            if stop.max_transmissions.is_some_and(|m| tx.total() >= m) {
-                break StopReason::TransmissionBudgetExhausted;
+            // Actors have no stall detector: the halt check never fires.
+            if let Some(reason) = monitor.check(
+                protocol.squared_error(),
+                || protocol.relative_error(),
+                || false,
+                ticks,
+                &tx,
+                &mut probe,
+            ) {
+                break reason;
             }
 
             let tick = clock.next_tick(&mut *rng);
@@ -567,23 +529,9 @@ impl NetScheduler {
             // Churn applies before the tick's activation is processed, then a
             // dead sensor's tick is consumed with nothing else — the same
             // ordering as the shared-memory orchestrator.
-            if let Some(plan) = faults.as_deref_mut() {
-                plan.advance_schedule(tick.index);
-            }
             let node_dead = faults
-                .as_deref()
-                .is_some_and(|plan| !plan.is_alive(tick.node.index()));
-            if node_dead {
-                if let Some(plan) = faults.as_deref_mut() {
-                    plan.record_dead_activation();
-                }
-                if let Some(probe) = probe.as_deref_mut() {
-                    probe.on_event(Event::ActivationDead {
-                        tick: tick.index,
-                        node: tick.node.index() as u32,
-                    });
-                }
-            }
+                .as_deref_mut()
+                .is_some_and(|plan| !plan.admit(tick, &mut probe));
             let (alive, stale): (&[bool], &[bool]) = faults
                 .as_deref()
                 .map_or((&[][..], &[][..]), |plan| plan.slices());
@@ -650,39 +598,11 @@ impl NetScheduler {
                     transmissions: tx.total(),
                 });
             }
-
-            if tick.index.is_multiple_of(stride) {
-                while trace.len() >= self.max_trace_points {
-                    stride = stride.saturating_mul(2);
-                    trace.thin_to_stride(stride);
-                }
-                if tick.index.is_multiple_of(stride) {
-                    trace.push(TracePoint {
-                        transmissions: tx.total(),
-                        ticks: tick.index,
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-            }
+            monitor.sample(tick.index, &tx, || protocol.relative_error());
         };
 
-        trace.push(TracePoint {
-            transmissions: tx.total(),
-            ticks,
-            relative_error: protocol.relative_error(),
-        });
-
-        (
-            EngineReport {
-                reason,
-                transmissions: tx,
-                ticks,
-                time: clock.now(),
-                final_error: protocol.relative_error(),
-                trace,
-            },
-            ledger,
-        )
+        let report = monitor.finish(reason, tx, ticks, clock.now(), protocol.relative_error());
+        (report, ledger)
     }
 }
 
@@ -795,6 +715,7 @@ fn deliver_due(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use geogossip_sim::engine::StopReason;
     use geogossip_sim::transport::RetryPolicy;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;

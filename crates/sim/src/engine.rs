@@ -20,7 +20,9 @@
 //! sqrt/divides per tick; any apparent crossing is confirmed with the exact
 //! [`Activation::relative_error`] before stopping, so the stopping tick cannot
 //! drift), and caps the convergence trace by stride doubling
-//! ([`AsyncEngine::max_trace_points`]). The pre-overhaul loop is preserved
+//! ([`AsyncEngine::max_trace_points`]). That stop-and-trace bookkeeping is
+//! one [`LoopMonitor`], shared with [`AsyncEngine::run_parallel`] and the
+//! `geogossip-net` scheduler. The pre-overhaul loop is preserved
 //! verbatim as [`AsyncEngine::run_reference`], and the parity property tests
 //! (`tests/engine_parity.rs` at the workspace root) pin the two paths
 //! bit-identical — same reports, same termini and hop counts, same RNG
@@ -340,11 +342,7 @@ pub const DEFAULT_MAX_TRACE_POINTS: usize = 4096;
 /// magnitude more slack than the accumulated rounding) can never reject a
 /// state the exact check would accept. States inside the slack band simply
 /// fall through to the exact check.
-///
-/// Public so alternative drivers that must stop **bit-identically** to this
-/// engine (the `geogossip-net` scheduler) reuse the same slack rather than
-/// re-deriving it.
-pub const SQ_THRESHOLD_SLACK: f64 = 1.0 + 1e-9;
+const SQ_THRESHOLD_SLACK: f64 = 1.0 + 1e-9;
 
 /// The asynchronous engine: a Poisson clock plus bookkeeping.
 #[derive(Debug, Clone)]
@@ -455,56 +453,21 @@ impl AsyncEngine {
         Pr: Probe,
     {
         let self_paced = protocol.clocking() == Clocking::SelfPaced;
-        let mut stride = protocol
-            .trace_interval()
-            .unwrap_or(self.sample_every)
-            .max(1);
+        let mut monitor = self.monitor(protocol, stop);
         let mut clock = BatchedPoissonClock::new(self.n);
         let mut ticks: u64 = 0;
         let mut tx = TransmissionCounter::new();
-        let mut trace = ConvergenceTrace::new();
-        trace.push(TracePoint {
-            transmissions: 0,
-            ticks: 0,
-            relative_error: protocol.relative_error(),
-        });
-
-        // Precompute the squared stop threshold: the per-tick check then
-        // compares the protocol's cached Σ(x−x̄)² against it — no sqrt, no
-        // divide. `threshold_hi` deliberately overshoots by
-        // `SQ_THRESHOLD_SLACK`; crossings are confirmed with the exact check,
-        // which keeps the stopping tick bit-identical to the reference loop.
-        let threshold_hi = protocol.squared_error().map(|sq| {
-            let target = stop.epsilon * sq.initial;
-            (target * target) * SQ_THRESHOLD_SLACK
-        });
 
         let reason = loop {
-            // Squared-domain pre-filter: while the squared deviation is
-            // clearly above the squared threshold, skip the exact (sqrt +
-            // divide) comparison entirely.
-            let clearly_above = match (threshold_hi, protocol.squared_error()) {
-                (Some(hi), Some(sq)) => sq.current_sq > hi,
-                _ => false,
-            };
-            if !clearly_above && protocol.relative_error() <= stop.epsilon {
-                if probe.enabled() {
-                    probe.on_event(Event::ConvergenceCrossed {
-                        tick: ticks,
-                        transmissions: tx.total(),
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-                break StopReason::Converged;
-            }
-            if protocol.halted() {
-                break StopReason::ProtocolStalled;
-            }
-            if stop.max_ticks.is_some_and(|m| ticks >= m) {
-                break StopReason::TickBudgetExhausted;
-            }
-            if stop.max_transmissions.is_some_and(|m| tx.total() >= m) {
-                break StopReason::TransmissionBudgetExhausted;
+            if let Some(reason) = monitor.check(
+                protocol.squared_error(),
+                || protocol.relative_error(),
+                || protocol.halted(),
+                ticks,
+                &tx,
+                &mut probe,
+            ) {
+                break reason;
             }
             let tick = if self_paced {
                 ticks += 1;
@@ -532,41 +495,27 @@ impl AsyncEngine {
             } else {
                 protocol.on_tick(tick, &mut tx, &mut reborrow);
             }
-            if tick.index.is_multiple_of(stride) {
-                // Cap the trace by stride doubling: beyond the cap, halve the
-                // sampling density (thinning what was already recorded so the
-                // trace is exactly "sampled at the final stride throughout").
-                while trace.len() >= self.max_trace_points {
-                    stride = stride.saturating_mul(2);
-                    trace.thin_to_stride(stride);
-                }
-                if tick.index.is_multiple_of(stride) {
-                    trace.push(TracePoint {
-                        transmissions: tx.total(),
-                        ticks: tick.index,
-                        relative_error: protocol.relative_error(),
-                    });
-                }
-            }
+            monitor.sample(tick.index, &tx, || protocol.relative_error());
         };
 
-        trace.push(TracePoint {
-            transmissions: tx.total(),
-            ticks,
-            relative_error: protocol.relative_error(),
-        });
-        EngineReport {
-            reason,
-            transmissions: tx,
-            ticks,
-            time: if self_paced {
-                ticks as f64
-            } else {
-                clock.now()
-            },
-            final_error: protocol.relative_error(),
-            trace,
-        }
+        let time = if self_paced {
+            ticks as f64
+        } else {
+            clock.now()
+        };
+        monitor.finish(reason, tx, ticks, time, protocol.relative_error())
+    }
+
+    /// The stop-and-trace monitor for one run of `protocol`: the protocol's
+    /// preferred trace interval (or the engine's), the engine's trace cap.
+    fn monitor<P: Activation + ?Sized>(&self, protocol: &P, stop: StopCondition) -> LoopMonitor {
+        LoopMonitor::new(
+            stop,
+            protocol.trace_interval().unwrap_or(self.sample_every),
+            self.max_trace_points,
+            protocol.relative_error(),
+            protocol.squared_error(),
+        )
     }
 
     /// Drives `protocol` like [`AsyncEngine::run`], but with intra-trial
@@ -639,23 +588,10 @@ impl AsyncEngine {
         if protocol.clocking() == Clocking::SelfPaced {
             return self.run_with(protocol, stop, rng, probe);
         }
-        let mut stride = protocol
-            .trace_interval()
-            .unwrap_or(self.sample_every)
-            .max(1);
+        let mut monitor = self.monitor(protocol, stop);
         let mut clock = BatchedPoissonClock::new(self.n);
         let mut ticks: u64 = 0;
         let mut tx = TransmissionCounter::new();
-        let mut trace = ConvergenceTrace::new();
-        trace.push(TracePoint {
-            transmissions: 0,
-            ticks: 0,
-            relative_error: protocol.relative_error(),
-        });
-        let threshold_hi = protocol.squared_error().map(|sq| {
-            let target = stop.epsilon * sq.initial;
-            (target * target) * SQ_THRESHOLD_SLACK
-        });
 
         let batch_cap = par.batch.max(1);
         let mut partitioner = WavePartitioner::new(protocol.network());
@@ -665,14 +601,14 @@ impl AsyncEngine {
             // Pre-tick stop check for the first tick of the batch; ticks
             // after it are checked inside the commit loop, so every tick sees
             // the exact per-tick check order of the sequential engine.
-            if let Some(reason) = check_stop(protocol, &stop, threshold_hi, ticks, &tx) {
-                if probe.enabled() && reason == StopReason::Converged {
-                    probe.on_event(Event::ConvergenceCrossed {
-                        tick: ticks,
-                        transmissions: tx.total(),
-                        relative_error: protocol.relative_error(),
-                    });
-                }
+            if let Some(reason) = monitor.check(
+                protocol.squared_error(),
+                || protocol.relative_error(),
+                || protocol.halted(),
+                ticks,
+                &tx,
+                &mut probe,
+            ) {
                 break 'outer reason;
             }
 
@@ -740,16 +676,15 @@ impl AsyncEngine {
             'commit: for wave in waves {
                 for i in wave {
                     if i > 0 {
-                        if let Some(reason) = check_stop(protocol, &stop, threshold_hi, ticks, &tx)
-                        {
-                            if probe.enabled() && reason == StopReason::Converged {
-                                probe.on_event(Event::ConvergenceCrossed {
-                                    tick: ticks,
-                                    transmissions: tx.total(),
-                                    relative_error: protocol.relative_error(),
-                                });
-                            }
-                            stop_reason = Some(reason);
+                        stop_reason = monitor.check(
+                            protocol.squared_error(),
+                            || protocol.relative_error(),
+                            || protocol.halted(),
+                            ticks,
+                            &tx,
+                            &mut probe,
+                        );
+                        if stop_reason.is_some() {
                             break 'commit;
                         }
                     }
@@ -769,19 +704,7 @@ impl AsyncEngine {
                             transmissions: tx.total(),
                         });
                     }
-                    if tick.index.is_multiple_of(stride) {
-                        while trace.len() >= self.max_trace_points {
-                            stride = stride.saturating_mul(2);
-                            trace.thin_to_stride(stride);
-                        }
-                        if tick.index.is_multiple_of(stride) {
-                            trace.push(TracePoint {
-                                transmissions: tx.total(),
-                                ticks: tick.index,
-                                relative_error: protocol.relative_error(),
-                            });
-                        }
-                    }
+                    monitor.sample(tick.index, &tx, || protocol.relative_error());
                 }
             }
 
@@ -801,19 +724,7 @@ impl AsyncEngine {
             }
         };
 
-        trace.push(TracePoint {
-            transmissions: tx.total(),
-            ticks,
-            relative_error: protocol.relative_error(),
-        });
-        EngineReport {
-            reason,
-            transmissions: tx,
-            ticks,
-            time: clock.now(),
-            final_error: protocol.relative_error(),
-            trace,
-        }
+        monitor.finish(reason, tx, ticks, clock.now(), protocol.relative_error())
     }
 
     /// The pre-overhaul tick loop, preserved **verbatim** (sequential
@@ -916,33 +827,159 @@ impl AsyncEngine {
     }
 }
 
-/// The per-tick stop check of the overhauled loop, factored for the parallel
-/// path: squared-domain pre-filter, exact confirmation, then halt/budget
-/// checks, in exactly the order [`AsyncEngine::run`] evaluates them.
-fn check_stop<P: Activation + ?Sized>(
-    protocol: &P,
-    stop: &StopCondition,
+/// The stop-and-trace bookkeeping of a tick loop: the stop check, the
+/// [`Event::ConvergenceCrossed`] emission, and the stride-capped convergence
+/// trace.
+///
+/// Every overhauled loop drives one — [`AsyncEngine::run`],
+/// [`AsyncEngine::run_parallel`], and the `geogossip-net` scheduler — so they
+/// stop on the same tick and record the same trace by construction. A loop
+/// calls [`LoopMonitor::check`] before each tick, [`LoopMonitor::sample`]
+/// after it, and [`LoopMonitor::finish`] once it stops.
+#[derive(Debug, Clone)]
+pub struct LoopMonitor {
+    stop: StopCondition,
+    /// The squared stop threshold `(ε·‖x(0)−x̄·1‖)²`, overshot by
+    /// [`SQ_THRESHOLD_SLACK`]; `None` when the protocol has no squared view.
     threshold_hi: Option<f64>,
-    ticks: u64,
-    tx: &TransmissionCounter,
-) -> Option<StopReason> {
-    let clearly_above = match (threshold_hi, protocol.squared_error()) {
-        (Some(hi), Some(sq)) => sq.current_sq > hi,
-        _ => false,
-    };
-    if !clearly_above && protocol.relative_error() <= stop.epsilon {
-        return Some(StopReason::Converged);
+    stride: u64,
+    max_trace_points: usize,
+    trace: ConvergenceTrace,
+}
+
+impl LoopMonitor {
+    /// Starts monitoring a run: records the initial trace point and
+    /// precomputes the squared stop threshold from the protocol's `initial`
+    /// deviation, so the per-tick check compares the cached `Σ(x−x̄)²`
+    /// against it with no sqrt and no divide.
+    ///
+    /// `stride` is the trace sampling interval in ticks (clamped to at least
+    /// 1); `max_trace_points` is the cap that triggers stride doubling.
+    #[inline]
+    pub fn new(
+        stop: StopCondition,
+        stride: u64,
+        max_trace_points: usize,
+        initial_error: f64,
+        squared: Option<SquaredError>,
+    ) -> Self {
+        let mut trace = ConvergenceTrace::new();
+        trace.push(TracePoint {
+            transmissions: 0,
+            ticks: 0,
+            relative_error: initial_error,
+        });
+        let threshold_hi = squared.map(|sq| {
+            let target = stop.epsilon * sq.initial;
+            (target * target) * SQ_THRESHOLD_SLACK
+        });
+        LoopMonitor {
+            stop,
+            threshold_hi,
+            stride: stride.max(1),
+            max_trace_points,
+            trace,
+        }
     }
-    if protocol.halted() {
-        return Some(StopReason::ProtocolStalled);
+
+    /// The pre-tick stop check, in the frozen order converged → halted →
+    /// tick budget → transmission budget.
+    ///
+    /// While the squared deviation is clearly above the squared threshold the
+    /// exact (sqrt + divide) `relative_error` is never evaluated; any apparent
+    /// crossing is confirmed with it, which keeps the stopping tick
+    /// bit-identical to [`AsyncEngine::run_reference`]. A confirmed crossing
+    /// emits [`Event::ConvergenceCrossed`] into `probe` when it is enabled.
+    #[inline]
+    pub fn check<Pr: Probe + ?Sized>(
+        &self,
+        squared: Option<SquaredError>,
+        relative_error: impl Fn() -> f64,
+        halted: impl FnOnce() -> bool,
+        ticks: u64,
+        tx: &TransmissionCounter,
+        probe: &mut Pr,
+    ) -> Option<StopReason> {
+        let clearly_above = match (self.threshold_hi, squared) {
+            (Some(hi), Some(sq)) => sq.current_sq > hi,
+            _ => false,
+        };
+        if !clearly_above && relative_error() <= self.stop.epsilon {
+            if probe.enabled() {
+                probe.on_event(Event::ConvergenceCrossed {
+                    tick: ticks,
+                    transmissions: tx.total(),
+                    relative_error: relative_error(),
+                });
+            }
+            return Some(StopReason::Converged);
+        }
+        if halted() {
+            return Some(StopReason::ProtocolStalled);
+        }
+        if self.stop.max_ticks.is_some_and(|m| ticks >= m) {
+            return Some(StopReason::TickBudgetExhausted);
+        }
+        if self.stop.max_transmissions.is_some_and(|m| tx.total() >= m) {
+            return Some(StopReason::TransmissionBudgetExhausted);
+        }
+        None
     }
-    if stop.max_ticks.is_some_and(|m| ticks >= m) {
-        return Some(StopReason::TickBudgetExhausted);
+
+    /// Records the trace point of a committed tick, if its index is a
+    /// multiple of the current stride.
+    ///
+    /// When the trace is at its cap the stride doubles and the recorded
+    /// samples are thinned to match, so the trace is exactly "sampled at the
+    /// final stride throughout".
+    #[inline]
+    pub fn sample(
+        &mut self,
+        tick_index: u64,
+        tx: &TransmissionCounter,
+        relative_error: impl FnOnce() -> f64,
+    ) {
+        if !tick_index.is_multiple_of(self.stride) {
+            return;
+        }
+        while self.trace.len() >= self.max_trace_points {
+            self.stride = self.stride.saturating_mul(2);
+            self.trace.thin_to_stride(self.stride);
+        }
+        if tick_index.is_multiple_of(self.stride) {
+            self.trace.push(TracePoint {
+                transmissions: tx.total(),
+                ticks: tick_index,
+                relative_error: relative_error(),
+            });
+        }
     }
-    if stop.max_transmissions.is_some_and(|m| tx.total() >= m) {
-        return Some(StopReason::TransmissionBudgetExhausted);
+
+    /// Appends the final trace point (on top of the cap) and assembles the
+    /// run report.
+    #[inline]
+    pub fn finish(
+        mut self,
+        reason: StopReason,
+        transmissions: TransmissionCounter,
+        ticks: u64,
+        time: f64,
+        final_error: f64,
+    ) -> EngineReport {
+        self.trace.push(TracePoint {
+            transmissions: transmissions.total(),
+            ticks,
+            relative_error: final_error,
+        });
+        EngineReport {
+            reason,
+            transmissions,
+            ticks,
+            time,
+            final_error,
+            trace: self.trace,
+        }
     }
-    None
 }
 
 #[cfg(test)]
@@ -1219,6 +1256,39 @@ mod tests {
             assert_eq!(report_fast, report_reference);
             assert!(report_fast.converged());
         }
+    }
+
+    /// The monitor's stop reasons win in the frozen order converged →
+    /// halted → tick budget → transmission budget, and only a confirmed
+    /// crossing reaches the probe.
+    #[test]
+    fn loop_monitor_checks_in_the_frozen_order() {
+        let stop = StopCondition::at_epsilon(0.5)
+            .with_max_ticks(10)
+            .with_max_transmissions(10);
+        let monitor = LoopMonitor::new(stop, 1, 4, 1.0, None);
+        let mut spent = TransmissionCounter::new();
+        spent.charge_local(10);
+        let mut events = geogossip_telemetry::EventBuffer::new();
+        let mut check = |error: f64, halted: bool, ticks: u64, tx: &TransmissionCounter| {
+            monitor.check(None, || error, || halted, ticks, tx, &mut events)
+        };
+        assert_eq!(check(0.5, true, 10, &spent), Some(StopReason::Converged));
+        assert_eq!(
+            check(0.6, true, 10, &spent),
+            Some(StopReason::ProtocolStalled)
+        );
+        assert_eq!(
+            check(0.6, false, 10, &spent),
+            Some(StopReason::TickBudgetExhausted)
+        );
+        assert_eq!(
+            check(0.6, false, 9, &spent),
+            Some(StopReason::TransmissionBudgetExhausted)
+        );
+        assert_eq!(check(0.6, false, 9, &TransmissionCounter::new()), None);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events.events()[0].kind(), "convergence-crossed");
     }
 
     #[test]

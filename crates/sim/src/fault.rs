@@ -14,9 +14,12 @@
 //! * [`FaultSupport`] — the capability a protocol declares via
 //!   [`Activation::fault_support`]; the runner rejects specs asking for fault
 //!   kinds a protocol cannot model, rather than silently ignoring them.
-//! * [`FaultyActivation`] — the engine-facing wrapper that owns all fault
-//!   state (drop decisions, the churn schedule and its
-//!   [`LivenessMask`], the stale set) and orchestrates the inner protocol.
+//! * [`FaultPlan`] — the per-trial node-fault state (the churn schedule and
+//!   its [`LivenessMask`], the stale set), shared by the shared-memory engine
+//!   and the message-passing runtime.
+//! * [`FaultyActivation`] — the engine-facing wrapper that owns a
+//!   [`FaultPlan`] plus the per-activation drop decisions and orchestrates
+//!   the inner protocol.
 //!
 //! # Semantics
 //!
@@ -62,7 +65,7 @@ use serde::{Deserialize, Serialize};
 
 /// The `SeedStream` label of the dedicated fault stream:
 /// `seeds.trial(FAULT_STREAM_LABEL, trial)`. Changing this constant (or the
-/// draw order documented on [`FaultyActivation::new`]) silently re-randomizes
+/// draw order documented on [`FaultPlan::new`]) silently re-randomizes
 /// every committed fault scenario — treat it as frozen, like the `"placement"`
 /// / `"values"` / `"run"` labels.
 pub const FAULT_STREAM_LABEL: &str = "faults";
@@ -388,44 +391,34 @@ enum ChurnAction {
     Revive(Vec<u32>),
 }
 
-/// The engine-facing fault orchestrator: wraps a protocol, owns all fault
-/// state, and forwards ticks through [`Activation::on_tick_faulty`].
+/// The per-trial node-fault state: the liveness mask, the frozen stale set,
+/// the churn schedule, and the count of dead-sensor activations.
 ///
-/// Constructed by the scenario runner **only** when the spec's [`FaultSpec`]
-/// is non-default, so fault-free runs never pass through this type.
-pub struct FaultyActivation<'a> {
-    inner: Box<dyn Activation + 'a>,
-    drop_rate: f64,
-    fault_rng: ChaCha8Rng,
+/// Both runtimes advance the same plan — the shared-memory
+/// [`FaultyActivation`] wrapper and the `geogossip-net` scheduler — so a
+/// `transport` key can never change *which* sensors fail, or when.
+#[derive(Debug, Clone)]
+pub struct FaultPlan {
     mask: LivenessMask,
     stale: Vec<bool>,
     stale_count: usize,
     schedule: Vec<(u64, ChurnAction)>,
     next_event: usize,
-    dropped_activations: u64,
     dead_activations: u64,
 }
 
-impl<'a> FaultyActivation<'a> {
-    /// Wraps `inner` with the fault model of `spec` over an `n`-node network.
+impl FaultPlan {
+    /// Builds the plan for `spec` over an `n`-node network.
     ///
     /// `fault_rng` must be the dedicated fault stream
-    /// (`seeds.trial(`[`FAULT_STREAM_LABEL`]`, trial)`). The construction-time
-    /// draw order is frozen: the stale set first (`⌊stale_fraction·n⌋`
-    /// distinct nodes by partial Fisher–Yates), then each churn event's node
-    /// set in spec order; the remaining stream serves the per-activation drop
-    /// decisions during the run.
-    pub fn new(
-        inner: Box<dyn Activation + 'a>,
-        spec: &FaultSpec,
-        n: usize,
-        fault_rng: ChaCha8Rng,
-    ) -> Self {
-        let mut fault_rng = fault_rng;
+    /// (`seeds.trial(`[`FAULT_STREAM_LABEL`]`, trial)`). The draw order is
+    /// frozen: the stale set first (`⌊stale_fraction·n⌋` distinct nodes by
+    /// partial Fisher–Yates), then each churn event's node set in spec order.
+    pub fn new(spec: &FaultSpec, n: usize, fault_rng: &mut ChaCha8Rng) -> Self {
         let stale_nodes = draw_distinct(
             n,
             (spec.stale_fraction * n as f64).floor() as usize,
-            &mut fault_rng,
+            fault_rng,
         );
         let mut stale = vec![false; if stale_nodes.is_empty() { 0 } else { n }];
         for &i in &stale_nodes {
@@ -433,11 +426,7 @@ impl<'a> FaultyActivation<'a> {
         }
         let mut schedule: Vec<(u64, ChurnAction)> = Vec::new();
         for event in &spec.churn {
-            let nodes = draw_distinct(
-                n,
-                (event.fraction * n as f64).floor() as usize,
-                &mut fault_rng,
-            );
+            let nodes = draw_distinct(n, (event.fraction * n as f64).floor() as usize, fault_rng);
             if let Some(rejoin) = event.rejoin_tick {
                 schedule.push((rejoin, ChurnAction::Revive(nodes.clone())));
             }
@@ -446,38 +435,23 @@ impl<'a> FaultyActivation<'a> {
         // Stable sort: simultaneous actions apply in (rejoin-before-kill,
         // spec) order, deterministically.
         schedule.sort_by_key(|(tick, _)| *tick);
-        FaultyActivation {
-            inner,
-            drop_rate: spec.drop_rate,
-            fault_rng,
+        FaultPlan {
             mask: LivenessMask::all_alive(n),
             stale_count: stale_nodes.len(),
             stale,
             schedule,
             next_event: 0,
-            dropped_activations: 0,
             dead_activations: 0,
         }
     }
 
-    /// Activations that were marked dropped (cost charged, no averaging).
-    pub fn dropped_activations(&self) -> u64 {
-        self.dropped_activations
-    }
-
-    /// Activations of dead sensors (tick consumed, nothing else).
-    pub fn dead_activations(&self) -> u64 {
-        self.dead_activations
-    }
-
-    /// The current liveness mask (for tests and diagnostics).
-    pub fn mask(&self) -> &LivenessMask {
-        &self.mask
-    }
-
-    fn advance_schedule(&mut self, tick_index: u64) {
+    /// Admits the activation of `tick`: applies every churn action scheduled
+    /// at or before its index, then reports whether its sensor is alive. A
+    /// dead sensor's activation is counted and emitted as
+    /// [`Event::ActivationDead`]; its tick is consumed with nothing else.
+    pub fn admit<Pr: Probe + ?Sized>(&mut self, tick: Tick, probe: &mut Pr) -> bool {
         while let Some((at, action)) = self.schedule.get(self.next_event) {
-            if *at > tick_index {
+            if *at > tick.index {
                 break;
             }
             match action {
@@ -494,6 +468,106 @@ impl<'a> FaultyActivation<'a> {
             }
             self.next_event += 1;
         }
+        if self.mask.is_alive(tick.node.index()) {
+            return true;
+        }
+        self.dead_activations += 1;
+        if probe.enabled() {
+            probe.on_event(Event::ActivationDead {
+                tick: tick.index,
+                node: tick.node.index() as u32,
+            });
+        }
+        false
+    }
+
+    /// Whether sensor `node` is frozen as a stale-value node.
+    pub fn is_stale(&self, node: usize) -> bool {
+        self.stale.get(node).copied().unwrap_or(false)
+    }
+
+    /// The `(alive, stale)` slices handed to protocol handlers: `alive` is
+    /// empty while every sensor lives (so masked code paths stay dormant),
+    /// `stale` is empty when no node is stale.
+    pub fn slices(&self) -> (&[bool], &[bool]) {
+        let alive: &[bool] = if self.mask.any_dead() {
+            self.mask.as_slice()
+        } else {
+            &[]
+        };
+        (alive, &self.stale)
+    }
+
+    /// The current liveness mask.
+    pub fn mask(&self) -> &LivenessMask {
+        &self.mask
+    }
+
+    /// Activations of dead sensors so far.
+    pub fn dead_activations(&self) -> u64 {
+        self.dead_activations
+    }
+
+    /// The fault counters appended to a trial's metrics, in their historical
+    /// key order, given the runtime's count of dropped activations.
+    pub fn metrics(&self, dropped_activations: u64) -> [(String, f64); 3] {
+        [
+            ("dropped_activations".into(), dropped_activations as f64),
+            ("dead_activations".into(), self.dead_activations as f64),
+            ("stale_nodes".into(), self.stale_count as f64),
+        ]
+    }
+}
+
+/// The engine-facing fault orchestrator: wraps a protocol, advances its
+/// [`FaultPlan`], draws the per-activation loss decisions, and forwards ticks
+/// through [`Activation::on_tick_faulty`].
+///
+/// Constructed by the scenario runner **only** when the spec's [`FaultSpec`]
+/// is non-default, so fault-free runs never pass through this type.
+pub struct FaultyActivation<'a> {
+    inner: Box<dyn Activation + 'a>,
+    plan: FaultPlan,
+    drop_rate: f64,
+    fault_rng: ChaCha8Rng,
+    dropped_activations: u64,
+}
+
+impl<'a> FaultyActivation<'a> {
+    /// Wraps `inner` with the fault model of `spec` over an `n`-node network.
+    ///
+    /// `fault_rng` must be the dedicated fault stream
+    /// (`seeds.trial(`[`FAULT_STREAM_LABEL`]`, trial)`). [`FaultPlan::new`]
+    /// makes the frozen construction-time draws; the remaining stream serves
+    /// the per-activation drop decisions during the run.
+    pub fn new(
+        inner: Box<dyn Activation + 'a>,
+        spec: &FaultSpec,
+        n: usize,
+        mut fault_rng: ChaCha8Rng,
+    ) -> Self {
+        FaultyActivation {
+            inner,
+            plan: FaultPlan::new(spec, n, &mut fault_rng),
+            drop_rate: spec.drop_rate,
+            fault_rng,
+            dropped_activations: 0,
+        }
+    }
+
+    /// Activations that were marked dropped (cost charged, no averaging).
+    pub fn dropped_activations(&self) -> u64 {
+        self.dropped_activations
+    }
+
+    /// Activations of dead sensors (tick consumed, nothing else).
+    pub fn dead_activations(&self) -> u64 {
+        self.plan.dead_activations()
+    }
+
+    /// The current liveness mask (for tests and diagnostics).
+    pub fn mask(&self) -> &LivenessMask {
+        self.plan.mask()
     }
 
     /// The single tick body behind both `on_tick` and `on_tick_probed`:
@@ -507,20 +581,12 @@ impl<'a> FaultyActivation<'a> {
         rng: &mut dyn RngCore,
         mut probe: Pr,
     ) {
-        self.advance_schedule(tick.index);
-        if !self.mask.is_alive(tick.node.index()) {
-            // A dead sensor's clock still ticks, but nothing happens — and
-            // crucially no protocol randomness is consumed.
-            self.dead_activations += 1;
-            if probe.enabled() {
-                probe.on_event(Event::ActivationDead {
-                    tick: tick.index,
-                    node: tick.node.index() as u32,
-                });
-            }
+        // A dead sensor's clock still ticks, but nothing happens — and
+        // crucially no protocol randomness is consumed.
+        if !self.plan.admit(tick, &mut probe) {
             return;
         }
-        if probe.enabled() && self.stale.get(tick.node.index()).copied().unwrap_or(false) {
+        if probe.enabled() && self.plan.is_stale(tick.node.index()) {
             probe.on_event(Event::ActivationStale {
                 tick: tick.index,
                 node: tick.node.index() as u32,
@@ -536,23 +602,15 @@ impl<'a> FaultyActivation<'a> {
                 });
             }
         }
-        let alive = if self.mask.any_dead() {
-            self.mask.as_slice()
-        } else {
-            &[]
-        };
-        let context = FaultContext::new(dropped, alive, &self.stale);
+        let (alive, stale) = self.plan.slices();
+        let context = FaultContext::new(dropped, alive, stale);
         self.inner.on_tick_faulty(tick, tx, rng, &context);
     }
 }
 
 /// `k` distinct node indices by partial Fisher–Yates over `0..n`, from the
 /// fault stream. `O(n)` per call — construction-time only.
-///
-/// Public because the net runtime rebuilds the same stale/churn node sets
-/// from the same fault stream: both layers must draw identically or a
-/// `transport` key would silently change which sensors fail.
-pub fn draw_distinct(n: usize, k: usize, rng: &mut ChaCha8Rng) -> Vec<u32> {
+fn draw_distinct(n: usize, k: usize, rng: &mut ChaCha8Rng) -> Vec<u32> {
     let k = k.min(n);
     let mut pool: Vec<u32> = (0..n as u32).collect();
     for i in 0..k {
@@ -592,12 +650,7 @@ impl Activation for FaultyActivation<'_> {
 
     fn metrics(&self) -> Vec<(String, f64)> {
         let mut metrics = self.inner.metrics();
-        metrics.push((
-            "dropped_activations".into(),
-            self.dropped_activations as f64,
-        ));
-        metrics.push(("dead_activations".into(), self.dead_activations as f64));
-        metrics.push(("stale_nodes".into(), self.stale_count as f64));
+        metrics.extend(self.plan.metrics(self.dropped_activations));
         metrics
     }
 

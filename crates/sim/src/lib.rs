@@ -80,7 +80,7 @@ pub use engine::{
 };
 pub use error::ProtocolError;
 pub use event::{EventQueue, ScheduledEvent};
-pub use fault::{ChurnEvent, FaultContext, FaultSpec, FaultSupport, FaultyActivation};
+pub use fault::{ChurnEvent, FaultContext, FaultPlan, FaultSpec, FaultSupport, FaultyActivation};
 pub use field::{Field, InitialCondition};
 pub use metrics::{ConvergenceTrace, TracePoint, TransmissionCounter};
 pub use rng::SeedStream;

@@ -1,9 +1,9 @@
 //! Deterministic seed management.
 //!
-//! Every experiment in EXPERIMENTS.md is identified by a single master seed;
-//! the placement, the clock schedule, the target draws and the protocol's
-//! internal randomness each get an independent, reproducible stream derived
-//! from it. Deriving streams (rather than sharing one RNG) keeps results
+//! Every experiment (`crates/bench/src/experiments/`) is identified by a
+//! single master seed; the placement, the clock schedule, the target draws
+//! and the protocol's internal randomness each get an independent,
+//! reproducible stream derived from it. Deriving streams (rather than sharing one RNG) keeps results
 //! stable when one component changes how much randomness it consumes.
 
 use rand::SeedableRng;

@@ -39,6 +39,21 @@ impl<P: Probe + ?Sized> Probe for &mut P {
     }
 }
 
+/// An optional probe: forwards when present, disabled when absent, so a
+/// driver holding `Option<&mut dyn Probe>` can hand it wherever an
+/// `impl Probe` is expected.
+impl<P: Probe> Probe for Option<P> {
+    fn on_event(&mut self, event: Event) {
+        if let Some(probe) = self {
+            probe.on_event(event);
+        }
+    }
+
+    fn enabled(&self) -> bool {
+        self.as_ref().is_some_and(Probe::enabled)
+    }
+}
+
 /// The zero-sized "no telemetry" probe.
 ///
 /// `enabled()` is a compile-time `false`, so engines monomorphized over
