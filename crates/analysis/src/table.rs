@@ -1,7 +1,7 @@
 //! Plain-text / Markdown / CSV table rendering for the experiment binaries.
 //!
-//! Every experiment binary prints a Markdown table (the rows quoted in
-//! EXPERIMENTS.md) and can additionally emit the same rows as CSV or JSON so
+//! Every experiment binary prints a Markdown table (the rows the
+//! `all_experiments` binary collects) and can additionally emit the same rows as CSV or JSON so
 //! the numbers can be re-plotted without re-running the simulation.
 
 use serde::{Deserialize, Serialize};

@@ -862,9 +862,10 @@ mod tests {
         // n = 384 gives a three-level hierarchy, so this exercises the nested
         // recursion (leaf gossip inside child-leader rounds inside top-level
         // rounds). The target is modest: nested gossip's accuracy floor at
-        // this size is governed by the ε_r cascade, and EXPERIMENTS.md E4
-        // tracks the achievable accuracy; the unit test only requires solid
-        // convergence well below the pre-averaging plateau (~0.4).
+        // this size is governed by the ε_r cascade, and experiment E4
+        // (`crates/bench/src/experiments/e04_scaling.rs`) tracks the
+        // achievable accuracy; the unit test only requires solid convergence
+        // well below the pre-averaging plateau (~0.4).
         let g = graph(384, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let values = InitialCondition::Bimodal.generate(g.len(), &mut rng);

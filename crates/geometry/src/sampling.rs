@@ -1,7 +1,7 @@
 //! Reproducible random placement of sensors and related sampling helpers.
 //!
-//! Every experiment in the workspace is seeded, so that the tables in
-//! EXPERIMENTS.md can be regenerated bit-for-bit. The helpers here are thin
+//! Every experiment in the workspace is seeded, so that the tables the
+//! `all_experiments` binary prints can be regenerated bit-for-bit. The helpers here are thin
 //! wrappers over [`rand`] that keep the sampling conventions (uniform over the
 //! unit square, uniform over a rectangle, exponential inter-arrival times) in
 //! one place.
