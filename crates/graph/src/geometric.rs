@@ -309,8 +309,8 @@ impl GeometricGraph {
     /// * the two-pass parallel pipeline can be checked **bit-for-bit**
     ///   against an independent implementation (offsets, neighbors, mirrored
     ///   coordinates, edge count; `tests/build_pipeline_properties.rs`), and
-    /// * `bench_baseline --append-build` measures the speedup on the same
-    ///   tree and the same instances, like `legacy.rs` does for the tick.
+    /// * the speedup stays on record: the historical `graph_build` rows of
+    ///   `BENCH_baseline.json` time both builds on the same instances.
     ///
     /// Not a hot path — use [`GeometricGraph::build_with_topology`].
     ///

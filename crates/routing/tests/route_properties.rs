@@ -2,7 +2,8 @@
 //! random instances and targets, `route_terminus` / `route_terminus_to_node` /
 //! the scratch-buffer variant must agree exactly with the path-returning API,
 //! and the chunked vectorizable argmin scan must agree exactly with the
-//! preserved scalar reference walk (`route_terminus_reference`).
+//! preserved scalar reference walks (`route_terminus_reference`,
+//! `route_terminus_to_node_reference`).
 
 use geogossip_geometry::point::NodeId;
 use geogossip_geometry::sampling::{sample_unit_square, uniform_point_in};
@@ -10,8 +11,8 @@ use geogossip_geometry::unit_square;
 use geogossip_geometry::Topology;
 use geogossip_graph::GeometricGraph;
 use geogossip_routing::greedy::{
-    round_trip, route_terminus, route_terminus_reference, route_terminus_to_node, route_to_node,
-    route_to_position, route_to_position_into,
+    round_trip, route_terminus, route_terminus_reference, route_terminus_to_node,
+    route_terminus_to_node_reference, route_to_node, route_to_position, route_to_position_into,
 };
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -92,6 +93,31 @@ proptest! {
             let target = uniform_point_in(unit_square(), &mut rng);
             let fast = route_terminus(&g, src, target);
             let reference = route_terminus_reference(&g, src, target);
+            prop_assert_eq!(fast, reference);
+        }
+    }
+
+    /// Node-addressed routes — the return leg of every geographic tick —
+    /// match the scalar reference walk too: same terminus, same hop count,
+    /// same `delivered` flag, on both topologies. With the position pin
+    /// above and `tests/engine_parity.rs`, this covers both legs of the
+    /// geographic tick against the pre-overhaul loop.
+    #[test]
+    fn node_route_matches_scalar_reference(
+        n in 2usize..300,
+        seed in 0u64..1000,
+        c in 0.8f64..2.5,
+        torus in 0usize..2,
+    ) {
+        let topology = if torus == 1 { Topology::Torus } else { Topology::UnitSquare };
+        let pts = sample_unit_square(n, &mut ChaCha8Rng::seed_from_u64(seed));
+        let radius = geogossip_geometry::connectivity_radius(n, c).min(0.49);
+        let g = GeometricGraph::build_with_topology(pts, radius, topology);
+        for k in 0..12 {
+            let src = NodeId((seed as usize + k) % n);
+            let dst = NodeId((seed as usize * 7 + 3 * k + 1) % n);
+            let fast = route_terminus_to_node(&g, src, dst);
+            let reference = route_terminus_to_node_reference(&g, src, dst);
             prop_assert_eq!(fast, reference);
         }
     }

@@ -37,8 +37,8 @@
 //! as an inherent generic method (`fn step<R: Rng + ?Sized>(...)`) and
 //! forwarding the trait method to it; the only dynamic dispatch on the hot
 //! path is then the RNG vtable (a handful of virtual `next_u64` calls per
-//! tick, measured by `bench_baseline --append-dyn` to be within noise of the
-//! fully monomorphised path).
+//! tick, within noise of the fully monomorphised path in the historical
+//! `dyn_dispatch` rows of `BENCH_baseline.json`).
 
 use crate::clock::{BatchedPoissonClock, GlobalPoissonClock, Tick};
 use crate::metrics::{ConvergenceTrace, TracePoint, TransmissionCounter};
@@ -729,10 +729,11 @@ impl AsyncEngine {
 
     /// The pre-overhaul tick loop, preserved **verbatim** (sequential
     /// [`GlobalPoissonClock`], exact `relative_error` comparison every tick,
-    /// unbounded trace) for the engine parity property tests and the
-    /// `bench_baseline --append-tick-large` comparison — the same
-    /// keep-the-reference discipline as `GeometricGraph::build_reference` and
-    /// `geogossip_bench::legacy`.
+    /// unbounded trace) as the oracle of the engine parity property tests
+    /// (`tests/engine_parity.rs`, `tests/parallel_engine_parity.rs`) — the
+    /// same keep-the-reference discipline as `GeometricGraph::build_reference`.
+    /// Its speed against [`AsyncEngine::run`] is recorded in the historical
+    /// `tick_loop_large` rows of `BENCH_baseline.json`.
     ///
     /// Production callers should use [`AsyncEngine::run`]; the two are
     /// bit-identical (reports and RNG consumption) whenever the trace stays

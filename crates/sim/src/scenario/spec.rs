@@ -508,7 +508,7 @@ impl ScenarioSpec {
     }
 
     /// Loads one spec or a `{"scenarios": [...]}` bundle from a JSON file —
-    /// the shared loader behind the `geogossip` CLI and the bench binary, so
+    /// the one loader behind the `geogossip` CLI's `run` and `validate`, so
     /// the accepted file shapes cannot drift between them.
     ///
     /// # Errors

@@ -3,10 +3,11 @@
 //! scenario loop.
 //!
 //! A lighter-weight version of experiment E4 (the full version lives in
-//! `crates/bench/src/bin/e4_scaling_exponents.rs`) and of the committed
-//! `scenarios/sweeps/scaling_headline.json` campaign: declare the
-//! protocol × size grid as a [`SweepSpec`], run it in memory through
-//! [`run_sweep`] (no checkpoint log — pass a path to get resumable
+//! `crates/bench/src/experiments/e04_scaling.rs`; run it with
+//! `cargo run --release -p geogossip-bench --bin all_experiments -- e4`) and
+//! of the committed `scenarios/sweeps/scaling_headline.json` campaign:
+//! declare the protocol × size grid as a [`SweepSpec`], run it in memory
+//! through [`run_sweep`] (no checkpoint log — pass a path to get resumable
 //! execution), and let the lab's aggregation fit the power law
 //! `cost ≈ C·n^k` per protocol, with a 95% confidence interval around each
 //! exponent. The paper predicts `k ≈ 2` for pairwise gossip, `k ≈ 1.5` for

@@ -213,7 +213,7 @@ fn run(args: &[String]) -> Result<(), ProtocolError> {
     }
 
     let mut specs = match (spec_path, flags.protocol.is_some()) {
-        (Some(path), false) => load_specs(&path)?,
+        (Some(path), false) => ScenarioSpec::load_file(&path)?,
         (None, true) => vec![flags.into_spec()?],
         (Some(_), true) => {
             return Err(ProtocolError::malformed(
@@ -644,12 +644,6 @@ fn validate(args: &[String]) -> Result<(), ProtocolError> {
         println!("ok: {} scenario(s): {}", specs.len(), names.join(", "));
     }
     Ok(())
-}
-
-/// Loads one spec or a `{"scenarios": [...]}` bundle from a JSON file
-/// (shared with the bench binary via [`ScenarioSpec::load_file`]).
-fn load_specs(path: &str) -> Result<Vec<ScenarioSpec>, ProtocolError> {
-    ScenarioSpec::load_file(path)
 }
 
 /// Scenario assembled from command-line flags instead of a file.
