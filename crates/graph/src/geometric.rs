@@ -18,14 +18,14 @@ use std::ops::Range;
 /// construction — the paper's network never changes during a run.
 ///
 /// Adjacency is stored in a flat CSR layout ([`CsrAdjacency`]): one `u32`
-/// offset array plus one concatenated `u32` neighbor array, with the neighbor
-/// *coordinates* mirrored into two CSR-aligned `f64` arrays. The greedy
-/// routing inner loop ("which neighbor is closest to the target?") therefore
-/// streams contiguous memory instead of pointer-chasing per-node `Vec`s and
-/// gathering positions by index — see [`GeometricGraph::neighbor_block`].
-/// A half-width row-blocked `f32` mirror of the same coordinates
-/// ([`GeometricGraph::scan_block`]) additionally halves the memory traffic of
-/// the routing hot loop's approximate argmin pass.
+/// offset array plus one concatenated `u32` neighbor array. Alongside it sits
+/// one row-blocked scan mirror holding each neighbor's coordinates rounded to
+/// `f32` plus its index ([`GeometricGraph::scan_block`]), so the greedy
+/// routing inner loop ("which neighbor is closest to the target?") streams one
+/// contiguous 12-byte-per-neighbor row instead of pointer-chasing per-node
+/// `Vec`s and gathering positions by index. Together that is 16 bytes per
+/// directed adjacency entry; exact `f64` coordinates are read only from
+/// [`GeometricGraph::position`].
 ///
 /// Besides adjacency the graph keeps the spatial grid it was built with, so
 /// downstream code (greedy geographic routing, leader lookup) can answer
@@ -53,36 +53,35 @@ pub struct GeometricGraph {
     radius: f64,
     topology: Topology,
     adjacency: CsrAdjacency,
-    /// `x` coordinate of each neighbor, aligned with the CSR neighbor array.
-    nbr_x: Vec<f64>,
-    /// `y` coordinate of each neighbor, aligned with the CSR neighbor array.
-    nbr_y: Vec<f64>,
     /// Half-width scan mirror of the neighbor rows, row-blocked: row `i`
     /// occupies `3·offsets[i] .. 3·offsets[i+1]` as `[x_bits… y_bits… idx…]`
     /// — each coordinate rounded to `f32` and stored as its bit pattern, the
     /// neighbor indices copied alongside. The greedy-routing hot loop
     /// streams this **single** contiguous 12-byte-per-neighbor array per
     /// hop: the coordinate halves feed the vectorized approximate argmin
-    /// (half the traffic of the two `f64` arrays), and the index third lets
-    /// the walk resolve near-minimal candidates exactly against
-    /// [`GeometricGraph::position`] (a table small enough to sit in L2/L3)
-    /// without touching the cold `f64` mirrors at all. Derived data — always
-    /// exactly `(nbr_x/nbr_y as f32).to_bits()` plus the CSR neighbor row
-    /// (see [`GeometricGraph::scan_block`]).
+    /// (half the traffic of `f64` coordinates), and the index third lets the
+    /// walk resolve near-minimal candidates exactly against
+    /// [`GeometricGraph::position`] (a table small enough to sit in L2/L3).
+    /// Derived data — always exactly `(positions[j].x as f32).to_bits()` and
+    /// likewise for `y`, plus the CSR neighbor row (see
+    /// [`GeometricGraph::scan_block`]).
     scan_rows: Vec<u32>,
     grid: UniformGrid,
     edge_count: usize,
 }
 
-/// Builds the row-blocked scan mirror from the CSR row and coordinate
-/// arrays (see the `scan_rows` field docs for the layout).
-fn build_scan_mirror(adjacency: &CsrAdjacency, nbr_x: &[f64], nbr_y: &[f64]) -> Vec<u32> {
-    let mut mirror = Vec::with_capacity(nbr_x.len() * 3);
+/// Builds the row-blocked scan mirror from the CSR rows and the positions
+/// (see the `scan_rows` field docs for the layout). The reference build's
+/// derivation, independent of the fill pass that writes the same rows in
+/// place.
+fn build_scan_mirror(adjacency: &CsrAdjacency, positions: &[Point]) -> Vec<u32> {
+    let bits = |v: f64| (v as f32).to_bits();
+    let mut mirror = Vec::with_capacity(3 * adjacency.entry_count());
     for i in 0..adjacency.len() {
-        let range = adjacency.neighbor_range(i);
-        mirror.extend(nbr_x[range.clone()].iter().map(|&x| (x as f32).to_bits()));
-        mirror.extend(nbr_y[range.clone()].iter().map(|&y| (y as f32).to_bits()));
-        mirror.extend_from_slice(&adjacency.raw_neighbors()[range]);
+        let row = adjacency.neighbors(i);
+        mirror.extend(row.iter().map(|&j| bits(positions[j as usize].x)));
+        mirror.extend(row.iter().map(|&j| bits(positions[j as usize].y)));
+        mirror.extend_from_slice(row);
     }
     mirror
 }
@@ -129,10 +128,11 @@ impl GeometricGraph {
     ///    candidate windows,
     /// 3. an exclusive prefix sum turns the counts into exact CSR `offsets`,
     /// 4. a parallel **fill pass** re-queries each node in *index order* —
-    ///    so the output arrays are written strictly sequentially — sorting
-    ///    each row by packed `(neighbor, slot)` keys against row-local
-    ///    coordinate buffers (the coordinates are in hand from the distance
-    ///    check; no post-sort position gather ever touches main memory).
+    ///    so each chunk writes its disjoint slice of the final neighbor and
+    ///    scan arrays strictly sequentially — sorting each row by packed
+    ///    `(neighbor, slot)` keys and recovering the coordinates from the
+    ///    cell-ordered mirror (cache-hot; no post-sort position gather ever
+    ///    touches main memory).
     ///
     /// Both passes split their iteration space into one contiguous chunk per
     /// core, and every chunk's output is an independent pure function of
@@ -244,56 +244,52 @@ impl GeometricGraph {
             *slot = acc as u32;
         }
 
-        // Pass 2: fill neighbor indices + coordinates. Rows are produced in
-        // index order so every chunk appends to its own output vectors
-        // strictly sequentially (no scattered writes — the other half of the
-        // memory-traffic story). Each row sorts packed (neighbor, slot) keys;
-        // the coordinates are then recovered from the cell-ordered mirror at
-        // the packed slot, whose ~5 KB of candidate windows the query just
+        // Pass 2: fill the neighbor rows and the scan rows in place. Both
+        // final arrays are allocated once at their exact size and split into
+        // one disjoint slice per chunk at the chunk's first CSR offset, so
+        // every chunk writes its own rows strictly sequentially (no scattered
+        // writes — the other half of the memory-traffic story) and nothing is
+        // copied afterwards. Each row sorts packed (neighbor, slot) keys; the
+        // coordinates are then recovered from the cell-ordered mirror at the
+        // packed slot, whose ~5 KB of candidate windows the query just
         // streamed — a cache-hot gather at any n. Keys are `u32` when both
         // halves fit in 16 bits (n ≤ 65 536), halving the sort's memory
         // traffic exactly where whole-row sorting dominates the build.
-        let offsets_ref = &offsets;
-        let positions_ref = &positions;
-        let scan_ref = &scan;
-        let fill = |rows: Range<usize>| {
-            if n <= (1usize << 16) && !wide_keys {
-                fill_chunk::<u32>(scan_ref, positions_ref, offsets_ref, rows)
-            } else {
-                fill_chunk::<u64>(scan_ref, positions_ref, offsets_ref, rows)
-            }
-        };
-        let mut parts: Vec<FillPart> = chunk_ranges.into_par_iter().map(fill).collect();
-
         let total = *offsets.last().expect("offsets non-empty") as usize;
-        let (neighbors, nbr_x, nbr_y) = if parts.len() == 1 {
-            let part = parts.pop().expect("one part");
-            (part.nbrs, part.xs, part.ys)
-        } else {
-            let mut neighbors = Vec::with_capacity(total);
-            let mut nbr_x = Vec::with_capacity(total);
-            let mut nbr_y = Vec::with_capacity(total);
-            for part in parts {
-                neighbors.extend_from_slice(&part.nbrs);
-                nbr_x.extend_from_slice(&part.xs);
-                nbr_y.extend_from_slice(&part.ys);
-            }
-            (neighbors, nbr_x, nbr_y)
-        };
+        let mut neighbors = vec![0u32; total];
+        let mut scan_rows = vec![0u32; 3 * total];
+        let mut jobs = Vec::with_capacity(chunk_ranges.len());
+        let mut nbr_rest = neighbors.as_mut_slice();
+        let mut scan_rest = scan_rows.as_mut_slice();
+        for rows in chunk_ranges {
+            let span = (offsets[rows.end] - offsets[rows.start]) as usize;
+            let (nbr_out, nbr_tail) = nbr_rest.split_at_mut(span);
+            let (scan_out, scan_tail) = scan_rest.split_at_mut(3 * span);
+            nbr_rest = nbr_tail;
+            scan_rest = scan_tail;
+            jobs.push((rows, nbr_out, scan_out));
+        }
+        let wide = wide_keys || n > (1usize << 16);
+        jobs.into_par_iter()
+            .map(|(rows, nbr_out, scan_out)| {
+                if wide {
+                    fill_chunk::<u64>(&scan, &positions, &offsets, rows, nbr_out, scan_out)
+                } else {
+                    fill_chunk::<u32>(&scan, &positions, &offsets, rows, nbr_out, scan_out)
+                }
+            })
+            .collect::<()>();
 
         // Adjacency is symmetric under both metrics, so every undirected edge
         // contributed exactly two directed entries.
         debug_assert_eq!(total % 2, 0, "asymmetric adjacency");
         let edge_count = total / 2;
         let adjacency = CsrAdjacency::from_raw_parts(offsets, neighbors);
-        let scan_rows = build_scan_mirror(&adjacency, &nbr_x, &nbr_y);
         GeometricGraph {
             positions,
             radius,
             topology,
             adjacency,
-            nbr_x,
-            nbr_y,
             scan_rows,
             grid,
             edge_count,
@@ -304,11 +300,11 @@ impl GeometricGraph {
     /// implementation kept verbatim (nested-`Vec` spatial grid with its
     /// conservative candidate windows, one streaming [`CsrBuilder`] scan,
     /// image-queried torus adjacency with a sort+dedup per row, and a
-    /// separate post-hoc coordinate mirror pass) — so that:
+    /// separate post-hoc scan-mirror pass over `positions`) — so that:
     ///
     /// * the two-pass parallel pipeline can be checked **bit-for-bit**
-    ///   against an independent implementation (offsets, neighbors, mirrored
-    ///   coordinates, edge count; `tests/build_pipeline_properties.rs`), and
+    ///   against an independent implementation (offsets, neighbors, scan
+    ///   rows, edge count; `tests/build_pipeline_properties.rs`), and
     /// * the speedup stays on record: the historical `graph_build` rows of
     ///   `BENCH_baseline.json` time both builds on the same instances.
     ///
@@ -381,27 +377,16 @@ impl GeometricGraph {
             }
         }
         let adjacency = builder.finish();
-        // Mirror neighbor coordinates into CSR-aligned arrays (after the
-        // builder sorted each row) so hot loops read them contiguously.
-        let mut nbr_x = Vec::with_capacity(adjacency.entry_count());
-        let mut nbr_y = Vec::with_capacity(adjacency.entry_count());
-        for &j in adjacency.raw_neighbors() {
-            let p = positions[j as usize];
-            nbr_x.push(p.x);
-            nbr_y.push(p.y);
-        }
         // The graph still carries the *current* grid type for nearest-node
         // queries (and derives the same f32 scan mirror); only the adjacency
         // construction above is the preserved code path.
         let grid = UniformGrid::build(unit_square(), &positions, radius.max(1e-9));
-        let scan_rows = build_scan_mirror(&adjacency, &nbr_x, &nbr_y);
+        let scan_rows = build_scan_mirror(&adjacency, &positions);
         GeometricGraph {
             positions,
             radius,
             topology,
             adjacency,
-            nbr_x,
-            nbr_y,
             scan_rows,
             grid,
             edge_count,
@@ -510,37 +495,18 @@ impl GeometricGraph {
         self.adjacency.neighbors(node.index())
     }
 
-    /// `node`'s neighbors together with their coordinates, as three parallel
-    /// slices `(indices, xs, ys)` — the input to the allocation-free greedy
-    /// routing scan, which streams these contiguous arrays instead of
-    /// gathering `positions[j]` per neighbor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    #[inline]
-    pub fn neighbor_block(&self, node: NodeId) -> (&[u32], &[f64], &[f64]) {
-        let range = self.adjacency.neighbor_range(node.index());
-        (
-            &self.adjacency.raw_neighbors()[range.clone()],
-            &self.nbr_x[range.clone()],
-            &self.nbr_y[range],
-        )
-    }
-
     /// The half-width scan view of `node`'s neighbor row: CSR-aligned
     /// `(x_bits, y_bits, indices)` slices of one contiguous row-blocked
     /// `u32` array.
     ///
-    /// The first two slices are exactly the corresponding
-    /// [`GeometricGraph::neighbor_block`] coordinates rounded to `f32` and
-    /// stored as bit patterns (`f32::from_bits` recovers them for free;
-    /// pinned by tests), so `|x32 − x| ≤ 2⁻²⁴` on the unit square; the third
-    /// is the CSR neighbor row itself. The greedy-routing hot loop streams
-    /// this single 12-byte-per-neighbor array per hop — the random-access
-    /// memory traffic the per-hop argmin is bound by at large `n` — and
-    /// resolves near-minimal candidates exactly from
-    /// [`GeometricGraph::position`], never touching the cold `f64` mirrors.
+    /// The first two slices are exactly the neighbors'
+    /// [`GeometricGraph::position`] coordinates rounded to `f32` and stored as
+    /// bit patterns (`f32::from_bits` recovers them for free; pinned by
+    /// tests), so `|x32 − x| ≤ 2⁻²⁴` on the unit square; the third is the CSR
+    /// neighbor row itself. The greedy-routing hot loop streams this single
+    /// 12-byte-per-neighbor array per hop — the random-access memory traffic
+    /// the per-hop argmin is bound by at large `n` — and resolves
+    /// near-minimal candidates exactly from [`GeometricGraph::position`].
     ///
     /// # Panics
     ///
@@ -633,14 +599,6 @@ impl GeometricGraph {
                 .map(move |&v| (u, v as usize))
         })
     }
-}
-
-/// One fill-pass chunk's output: the CSR entries of a contiguous row range,
-/// appended sequentially and concatenated in chunk order afterwards.
-struct FillPart {
-    nbrs: Vec<u32>,
-    xs: Vec<f64>,
-    ys: Vec<f64>,
 }
 
 /// The query primitive shared by the degree pass and the fill pass: candidate
@@ -793,39 +751,39 @@ impl PackedKey for u32 {
     }
 }
 
-/// Fills the CSR entries of one contiguous row range (pass 2 of the build):
-/// query each row, sort its packed keys, recover coordinates from the
-/// cell-ordered mirror. Generic over the key width so the `n ≤ 65 536` case
-/// sorts `u32`s.
+/// Fills the CSR entries of one contiguous row range (pass 2 of the build)
+/// into `nbr_out` and `scan_out`, that range's slices of the final neighbor
+/// and scan arrays (both starting at `offsets[rows.start]`): query each row, sort its packed
+/// keys, recover coordinates from the cell-ordered mirror. Generic over the
+/// key width so the `n ≤ 65 536` case sorts `u32`s.
 fn fill_chunk<K: PackedKey>(
     scan: &NeighborScan<'_>,
     positions: &[Point],
     offsets: &[u32],
     rows: Range<usize>,
-) -> FillPart {
-    let span = (offsets[rows.end] - offsets[rows.start]) as usize;
-    let mut part = FillPart {
-        nbrs: vec![0u32; span],
-        xs: vec![0f64; span],
-        ys: vec![0f64; span],
-    };
+    nbr_out: &mut [u32],
+    scan_out: &mut [u32],
+) {
+    let base = offsets[rows.start];
     let mut keys: Vec<K> = Vec::new();
-    let mut cursor = 0usize;
     for i in rows {
-        let expected = (offsets[i + 1] - offsets[i]) as usize;
-        let len = scan.collect_row(i, positions[i], expected, &mut keys);
-        debug_assert_eq!(len, expected, "degree pass and fill pass disagree");
+        let lo = (offsets[i] - base) as usize;
+        let hi = (offsets[i + 1] - base) as usize;
+        let len = scan.collect_row(i, positions[i], hi - lo, &mut keys);
+        debug_assert_eq!(len, hi - lo, "degree pass and fill pass disagree");
         let row = &mut keys[..len];
         row.sort_unstable();
-        for &key in row.iter() {
+        let nbrs = &mut nbr_out[lo..hi];
+        let (xs, rest) = scan_out[3 * lo..3 * hi].split_at_mut(len);
+        let (ys, idx) = rest.split_at_mut(len);
+        for (k, &key) in row.iter().enumerate() {
             let q = scan.cell_pts[key.slot()];
-            part.nbrs[cursor] = key.neighbor();
-            part.xs[cursor] = q.x;
-            part.ys[cursor] = q.y;
-            cursor += 1;
+            nbrs[k] = key.neighbor();
+            xs[k] = (q.x as f32).to_bits();
+            ys[k] = (q.y as f32).to_bits();
         }
+        idx.copy_from_slice(nbrs);
     }
-    part
 }
 
 /// The spatial grid of the seed implementation, preserved verbatim for
@@ -934,32 +892,18 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_block_coordinates_match_positions() {
+    fn scan_block_is_the_f32_rounding_of_positions() {
         let g = random_graph(250, 1.5, 9);
         for i in 0..g.len() {
-            let (nbrs, xs, ys) = g.neighbor_block(NodeId(i));
-            assert_eq!(nbrs.len(), xs.len());
-            assert_eq!(nbrs.len(), ys.len());
-            for (k, &j) in nbrs.iter().enumerate() {
-                let p = g.position(NodeId(j as usize));
-                assert_eq!(xs[k], p.x);
-                assert_eq!(ys[k], p.y);
-            }
-        }
-    }
-
-    #[test]
-    fn scan_block_is_the_f32_rounding_of_neighbor_block() {
-        let g = random_graph(250, 1.5, 9);
-        for i in 0..g.len() {
-            let (nbrs, xs, ys) = g.neighbor_block(NodeId(i));
+            let nbrs = g.neighbors(NodeId(i));
             let (xs32, ys32, idx) = g.scan_block(NodeId(i));
             assert_eq!(xs32.len(), nbrs.len());
             assert_eq!(ys32.len(), nbrs.len());
             assert_eq!(idx, nbrs);
             for k in 0..nbrs.len() {
-                assert_eq!(xs32[k], (xs[k] as f32).to_bits());
-                assert_eq!(ys32[k], (ys[k] as f32).to_bits());
+                let p = g.position(NodeId(idx[k] as usize));
+                assert_eq!(xs32[k], (p.x as f32).to_bits());
+                assert_eq!(ys32[k], (p.y as f32).to_bits());
             }
         }
     }

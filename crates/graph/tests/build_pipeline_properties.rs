@@ -3,7 +3,8 @@
 //! The parallel build (degree pass → exact prefix-summed offsets → parallel
 //! row-slice fill) must be **bit-identical** to the preserved sequential
 //! reference build across sizes, radii and topologies: same CSR offsets, same
-//! sorted neighbor rows, same mirrored coordinate arrays, same edge count.
+//! sorted neighbor rows, same scan rows, same edge count — and every scan
+//! row is the `f32` rounding of the positions it names.
 //! Determinism is structural — every row is a pure function of the positions
 //! and lands in a disjoint slice — so these tests hold for any thread count.
 //!
@@ -20,17 +21,31 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+/// Asserts `g`'s scan rows are its neighbor rows plus the `f32` rounding of
+/// those neighbors' positions.
+fn assert_scan_rows_match_positions(g: &GeometricGraph) {
+    for i in 0..g.len() {
+        let (xs32, ys32, idx) = g.scan_block(NodeId(i));
+        assert_eq!(idx, g.neighbors(NodeId(i)), "scan idx row {i} differs");
+        for (k, &j) in idx.iter().enumerate() {
+            let p = g.position(NodeId(j as usize));
+            assert_eq!(xs32[k], (p.x as f32).to_bits(), "scan xs row {i}");
+            assert_eq!(ys32[k], (p.y as f32).to_bits(), "scan ys row {i}");
+        }
+    }
+}
+
 /// Asserts every observable construction output of `a` and `b` is identical.
 fn assert_bit_identical(a: &GeometricGraph, b: &GeometricGraph) {
     assert_eq!(a.positions(), b.positions());
     assert_eq!(a.adjacency(), b.adjacency(), "CSR offsets/neighbors differ");
     assert_eq!(a.edge_count(), b.edge_count());
+    for g in [a, b] {
+        assert_scan_rows_match_positions(g);
+    }
     for i in 0..a.len() {
-        let (an, ax, ay) = a.neighbor_block(NodeId(i));
-        let (bn, bx, by) = b.neighbor_block(NodeId(i));
+        let (an, bn) = (a.neighbors(NodeId(i)), b.neighbors(NodeId(i)));
         assert_eq!(an, bn, "neighbor row {i} differs");
-        assert_eq!(ax, bx, "nbr_x row {i} differs");
-        assert_eq!(ay, by, "nbr_y row {i} differs");
         let (ax32, ay32, aidx) = a.scan_block(NodeId(i));
         let (bx32, by32, bidx) = b.scan_block(NodeId(i));
         assert_eq!(ax32, bx32, "scan mirror xs row {i} differs");

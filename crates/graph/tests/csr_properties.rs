@@ -33,23 +33,6 @@ proptest! {
         prop_assert_eq!(2 * g.edge_count(), entries);
     }
 
-    /// The CSR-aligned neighbor coordinate arrays mirror the position table
-    /// exactly.
-    #[test]
-    fn neighbor_blocks_mirror_positions(n in 1usize..200, seed in 0u64..500) {
-        let pts = sample_unit_square(n, &mut ChaCha8Rng::seed_from_u64(seed));
-        let g = GeometricGraph::build(pts, 0.2);
-        for i in 0..n {
-            let (nbrs, xs, ys) = g.neighbor_block(NodeId(i));
-            prop_assert_eq!(nbrs, g.neighbors(NodeId(i)));
-            for (k, &j) in nbrs.iter().enumerate() {
-                let p = g.position(NodeId(j as usize));
-                prop_assert_eq!(xs[k], p.x);
-                prop_assert_eq!(ys[k], p.y);
-            }
-        }
-    }
-
     /// CSR round-trips through explicit lists.
     #[test]
     fn from_lists_round_trips(n in 0usize..120, seed in 0u64..500) {

@@ -4,8 +4,8 @@
 //! neighbor of `u` that is closest to `t`, provided that neighbor is strictly
 //! closer to `t` than `u` itself; otherwise the packet stops. On a geometric
 //! random graph at the connectivity radius this succeeds w.h.p. and uses
-//! `O(sqrt(n / log n))` hops (Dimakis et al., cited as [5]; the paper uses the
-//! coarser `O(√n)` bound). Experiment E5 measures the constant.
+//! `O(sqrt(n / log n))` hops (Dimakis et al., cited as \[5\]; the paper uses
+//! the coarser `O(√n)` bound). Experiment E5 measures the constant.
 //!
 //! "Closest" is measured in the metric of the [`Topology`] the graph was
 //! built with: Euclidean on the unit square, wrapped distance on the torus.
@@ -17,8 +17,9 @@
 //! The gossip protocols route twice per clock tick and only need the terminus
 //! and the hop count, so the hot entry points ([`route_terminus`],
 //! [`route_terminus_to_node`], [`round_trip`]) are **allocation-free**: the
-//! greedy walk scans each hop's CSR neighbor block (indices plus coordinates
-//! in parallel slices) and carries only scalars. The path-recording API
+//! greedy walk scans each hop's packed scan row
+//! ([`GeometricGraph::scan_block`]: `f32` coordinates plus neighbor indices in
+//! one contiguous block) and carries only scalars. The path-recording API
 //! ([`route_to_position`], [`route_to_node`], and the scratch-buffer variant
 //! [`route_to_position_into`]) wraps the same walk for experiments that
 //! inspect the actual path.
@@ -26,7 +27,7 @@
 //! The per-hop argmin is a two-pass filtered scan: pass 1 streams the
 //! graph's half-width `f32` scan mirror (8 bytes/neighbor — the walk is
 //! memory-bound at large `n`) through a chunked, unrolled multi-accumulator
-//! min-reduction the compiler vectorizes ([`min_d2_scan`]); pass 2 confirms
+//! min-reduction the compiler vectorizes (`min_d2_scan`); pass 2 confirms
 //! the few neighbors inside a provably conservative error window with exact
 //! `f64` distances, so the selected hop is **bit-identical** to the
 //! preserved all-`f64` scalar walk ([`route_terminus_reference`]) — including
@@ -204,10 +205,10 @@ const SCAN_BUF: usize = 512;
 /// independent accumulators (no cross-lane dependency, no bounds checks —
 /// the lanes come from `chunks_exact`, the min is a branch-free select),
 /// which is the shape the compiler auto-vectorizes; the remainder folds
-/// scalar. Reading 8 bytes per neighbor instead of the 16 the `f64` mirror
-/// costs also halves the random-access memory traffic the walk is bound by
-/// at large `n`. The stored distances let pass 2 test the candidate window
-/// without recomputing; the minimum is only used to open a
+/// scalar. Reading 8 bytes per neighbor instead of the 16 of `f64`
+/// coordinates also halves the random-access memory traffic the walk is
+/// bound by at large `n`. The stored distances let pass 2 test the
+/// candidate window without recomputing; the minimum is only used to open a
 /// [`SCAN_ABS_ERROR`]-wide window that provably contains the exact argmin —
 /// see [`greedy_walk_metric`].
 ///
@@ -261,12 +262,13 @@ fn min_d2_scan<M: RouteMetric>(
 /// vectorized, 8 bytes/neighbor). **Pass 2** walks the (L1-hot) buffer and,
 /// for every neighbor within [`SCAN_ABS_ERROR`] of the approximate minimum —
 /// the window provably contains every exact minimizer, see the constant's
-/// docs — gathers the **exact** `f64` distance from the CSR coordinate
-/// mirror and keeps the strictly-smallest, first-encountered winner. Since
-/// CSR rows are sorted and the window is conservative, the selected
-/// neighbor, its exact distance, and the tie-breaking (lowest neighbor index
-/// on equal distance) are **bit-identical** to the preserved all-`f64`
-/// scalar walk ([`greedy_walk_reference`]), which property tests pin.
+/// docs — gathers the **exact** `f64` distance from the neighbor's
+/// [`GeometricGraph::position`] and keeps the strictly-smallest,
+/// first-encountered winner. Since CSR rows are sorted and the window is
+/// conservative, the selected neighbor, its exact distance, and the
+/// tie-breaking (lowest neighbor index on equal distance) are
+/// **bit-identical** to the preserved all-`f64` scalar walk
+/// ([`greedy_walk_reference`]), which property tests pin.
 #[inline(always)]
 fn greedy_walk_metric<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -287,8 +289,7 @@ fn greedy_walk_metric<M: RouteMetric>(
     loop {
         // One hop touches exactly one random-access stream — the packed scan
         // row `[x_bits… y_bits… idx…]` — plus the position table for the few
-        // exact confirmations (small enough to stay cache-resident). The
-        // cold `f64` coordinate mirrors are never read on this path.
+        // exact confirmations (small enough to stay cache-resident).
         let (xs32, ys32, idx) = graph.scan_block(NodeId(current));
         let mut min_dist = f64::INFINITY;
         let mut best = u32::MAX;
@@ -345,7 +346,8 @@ fn greedy_walk_metric<M: RouteMetric>(
 
 /// The preserved pre-overhaul walk, kept **verbatim** (the same
 /// keep-the-reference discipline as `GeometricGraph::build_reference`): an
-/// all-`f64` two-pass scan of the CSR neighbor block — pass 1 a plain
+/// all-`f64` two-pass scan of the CSR neighbor row, each neighbor's
+/// coordinates read from [`GeometricGraph::position`] — pass 1 a plain
 /// left-to-right min-reduction over the squared distances, pass 2 recovering
 /// the winning index by recomputing until the bit-identical minimum
 /// reappears (first occurrence = lowest neighbor index, CSR rows being
@@ -364,18 +366,20 @@ fn greedy_walk_reference<M: RouteMetric>(
     let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
     let mut hops = 0usize;
     loop {
-        let (nbrs, xs, ys) = graph.neighbor_block(NodeId(current));
+        let nbrs = graph.neighbors(NodeId(current));
         let mut min_dist = f64::INFINITY;
-        for k in 0..nbrs.len() {
-            let d = metric.d2(xs[k] - target.x, ys[k] - target.y);
+        for &j in nbrs {
+            let p = graph.position(NodeId(j as usize));
+            let d = metric.d2(p.x - target.x, p.y - target.y);
             min_dist = min_dist.min(d);
         }
         if min_dist >= current_dist {
             return (NodeId(current), hops);
         }
         let mut best = 0usize;
-        for k in 0..nbrs.len() {
-            if metric.d2(xs[k] - target.x, ys[k] - target.y) == min_dist {
+        for (k, &j) in nbrs.iter().enumerate() {
+            let p = graph.position(NodeId(j as usize));
+            if metric.d2(p.x - target.x, p.y - target.y) == min_dist {
                 best = k;
                 break;
             }
@@ -414,17 +418,17 @@ fn greedy_walk_masked<M: RouteMetric>(
     let mut current_dist = metric.d2(src.x - target.x, src.y - target.y);
     let mut hops = 0usize;
     loop {
-        let (nbrs, xs, ys) = graph.neighbor_block(NodeId(current));
         let mut min_dist = f64::INFINITY;
         let mut best = usize::MAX;
-        for k in 0..nbrs.len() {
-            if !alive.get(nbrs[k] as usize).copied().unwrap_or(true) {
+        for &j in graph.neighbors(NodeId(current)) {
+            if !alive.get(j as usize).copied().unwrap_or(true) {
                 continue;
             }
-            let d = metric.d2(xs[k] - target.x, ys[k] - target.y);
+            let p = graph.position(NodeId(j as usize));
+            let d = metric.d2(p.x - target.x, p.y - target.y);
             if d < min_dist {
                 min_dist = d;
-                best = nbrs[k] as usize;
+                best = j as usize;
             }
         }
         if min_dist >= current_dist {
@@ -438,7 +442,7 @@ fn greedy_walk_masked<M: RouteMetric>(
 
 /// [`route_terminus`] restricted to live nodes: routes from `source` towards
 /// the *position* `target`, skipping neighbors whose entry in `alive` is
-/// `false` (see [`greedy_walk_masked`] for the degradation semantics).
+/// `false` (see `greedy_walk_masked` for the degradation semantics).
 ///
 /// # Panics
 ///
@@ -648,7 +652,8 @@ pub fn round_trip(graph: &GeometricGraph, a: NodeId, b: NodeId) -> (usize, bool)
 /// terminus, same hop count): the walk's carried current-distance is exactly
 /// the chosen neighbor's `f64` squared distance, which this function
 /// recomputes from [`GeometricGraph::position`] — the same value, bit for
-/// bit, because the CSR coordinate mirror stores the same `f64` coordinates.
+/// bit, because the walk read that neighbor's coordinates from the same
+/// position table.
 /// The parity is pinned by `iterated_greedy_step_matches_route_terminus`.
 ///
 /// # Panics
@@ -662,9 +667,10 @@ pub fn greedy_step(graph: &GeometricGraph, current: NodeId, target: Point) -> Op
 }
 
 /// Monomorphised body of [`greedy_step`]: a single strict-`<` scan over the
-/// CSR neighbor block, identical in arithmetic and tie-breaking to one
-/// iteration of [`greedy_walk_reference`] (first-encountered minimum = lowest
-/// neighbor index, CSR rows being sorted).
+/// CSR neighbor row (coordinates from [`GeometricGraph::position`]),
+/// identical in arithmetic and tie-breaking to one iteration of
+/// [`greedy_walk_reference`] (first-encountered minimum = lowest neighbor
+/// index, CSR rows being sorted).
 #[inline]
 fn greedy_step_metric<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -674,14 +680,14 @@ fn greedy_step_metric<M: RouteMetric>(
 ) -> Option<NodeId> {
     let pos = graph.position(current);
     let current_dist = metric.d2(pos.x - target.x, pos.y - target.y);
-    let (nbrs, xs, ys) = graph.neighbor_block(current);
     let mut min_dist = f64::INFINITY;
     let mut best = 0u32;
-    for k in 0..nbrs.len() {
-        let d = metric.d2(xs[k] - target.x, ys[k] - target.y);
+    for &j in graph.neighbors(current) {
+        let p = graph.position(NodeId(j as usize));
+        let d = metric.d2(p.x - target.x, p.y - target.y);
         if d < min_dist {
             min_dist = d;
-            best = nbrs[k];
+            best = j;
         }
     }
     if min_dist >= current_dist {
@@ -693,7 +699,7 @@ fn greedy_step_metric<M: RouteMetric>(
 
 /// [`greedy_step`] restricted to live neighbors: the per-hop forwarding
 /// decision of the message-passing runtime under node churn. Same mask
-/// semantics as [`greedy_walk_masked`] (indices beyond `alive`'s length count
+/// semantics as `greedy_walk_masked` (indices beyond `alive`'s length count
 /// as alive, so the empty mask degenerates to the unmasked step), same
 /// progress rule and tie-breaking — iterating it from a live source
 /// reproduces [`route_terminus_masked`] **bit-identically** (same terminus,
@@ -720,7 +726,7 @@ pub fn greedy_step_masked(
 /// Monomorphised body of [`greedy_step_masked`]: one iteration of
 /// [`greedy_walk_masked`]'s scan, recomputing the current distance from
 /// [`GeometricGraph::position`] (the same `f64` the walk carries, bit for
-/// bit — the CSR coordinate mirror stores identical coordinates).
+/// bit — the walk read the neighbor's coordinates from the same table).
 #[inline]
 fn greedy_step_masked_metric<M: RouteMetric>(
     graph: &GeometricGraph,
@@ -731,17 +737,17 @@ fn greedy_step_masked_metric<M: RouteMetric>(
 ) -> Option<NodeId> {
     let pos = graph.position(current);
     let current_dist = metric.d2(pos.x - target.x, pos.y - target.y);
-    let (nbrs, xs, ys) = graph.neighbor_block(current);
     let mut min_dist = f64::INFINITY;
     let mut best = 0u32;
-    for k in 0..nbrs.len() {
-        if !alive.get(nbrs[k] as usize).copied().unwrap_or(true) {
+    for &j in graph.neighbors(current) {
+        if !alive.get(j as usize).copied().unwrap_or(true) {
             continue;
         }
-        let d = metric.d2(xs[k] - target.x, ys[k] - target.y);
+        let p = graph.position(NodeId(j as usize));
+        let d = metric.d2(p.x - target.x, p.y - target.y);
         if d < min_dist {
             min_dist = d;
-            best = nbrs[k];
+            best = j;
         }
     }
     if min_dist >= current_dist {
