@@ -36,6 +36,8 @@ pub struct Hierarchy {
     partition: SquarePartition,
     /// Arena indices of populated (non-empty) cells per depth.
     populated_by_depth: Vec<Vec<usize>>,
+    /// Arena indices of each cell's populated children, by arena index.
+    populated_children: Vec<Vec<usize>>,
 }
 
 impl Hierarchy {
@@ -60,9 +62,21 @@ impl Hierarchy {
                 populated_by_depth[cell.depth()].push(idx);
             }
         }
+        let populated_children = partition
+            .cells()
+            .iter()
+            .map(|cell| {
+                cell.children()
+                    .iter()
+                    .copied()
+                    .filter(|&c| !partition.cell(c).members().is_empty())
+                    .collect()
+            })
+            .collect();
         let hierarchy = Hierarchy {
             partition,
             populated_by_depth,
+            populated_children,
         };
         if hierarchy.levels() >= 2 && hierarchy.populated_cells_at_depth(1).len() < 2 {
             return Err(ProtocolError::DegeneratePartition);
@@ -88,15 +102,11 @@ impl Hierarchy {
             .unwrap_or(&[])
     }
 
-    /// Arena indices of the populated children of cell `cell_idx`.
-    pub fn populated_children(&self, cell_idx: usize) -> Vec<usize> {
-        self.partition
-            .cell(cell_idx)
-            .children()
-            .iter()
-            .copied()
-            .filter(|&c| !self.partition.cell(c).members().is_empty())
-            .collect()
+    /// Arena indices of the populated children of cell `cell_idx`, in arena
+    /// order: the slice precomputed once by [`Hierarchy::build`], so the
+    /// protocols' per-round queries allocate nothing.
+    pub fn populated_children(&self, cell_idx: usize) -> &[usize] {
+        &self.populated_children[cell_idx]
     }
 
     /// The leader of cell `cell_idx`, if the cell is populated.
@@ -192,7 +202,7 @@ mod tests {
         let (_, h) = build(900, 2);
         let kids = h.populated_children(0);
         assert!(kids.len() >= 2);
-        for k in kids {
+        for &k in kids {
             assert!(!h.members(k).is_empty());
             assert_eq!(h.partition().cell(k).parent(), Some(0));
         }

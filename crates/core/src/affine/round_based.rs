@@ -221,6 +221,11 @@ pub struct RoundBasedAffineGossip<'a> {
     state: GossipState,
     config: RoundBasedConfig,
     stats: RoundStats,
+    /// Leaf-gossip membership marks: `stamp[v] == cell + 1` while `v` is a
+    /// member of the cell being averaged (see [`Self::leaf_gossip`]).
+    stamp: Vec<u32>,
+    /// The current exchange's in-cell neighbors, reused across exchanges.
+    in_cell: Vec<u32>,
 }
 
 impl<'a> RoundBasedAffineGossip<'a> {
@@ -270,6 +275,8 @@ impl<'a> RoundBasedAffineGossip<'a> {
             state: GossipState::new(initial_values),
             config,
             stats: RoundStats::default(),
+            stamp: vec![0; graph.len()],
+            in_cell: Vec::new(),
         })
     }
 
@@ -305,7 +312,7 @@ impl<'a> RoundBasedAffineGossip<'a> {
         });
 
         let child_epsilon = (epsilon * self.config.epsilon_decay).max(f64::MIN_POSITIVE);
-        let top_children = self.hierarchy.populated_children(0);
+        let top_children = self.hierarchy.populated_children(0).to_vec();
 
         // Pre-averaging pass: the Section-3 argument starts from "A has been
         // run on each subsquare", i.e. every top-level cell is internally
@@ -460,8 +467,13 @@ impl<'a> RoundBasedAffineGossip<'a> {
         match self.config.local_averaging {
             LocalAveraging::Exact => self.exact_average(cell_idx, tx),
             LocalAveraging::Gossip { .. } => {
-                let children = self.hierarchy.populated_children(cell_idx);
-                if children.len() < 2 {
+                // Children are read by index from the hierarchy's precomputed
+                // slice: holding the slice across the recursive `&mut self`
+                // calls below would not borrow-check, and copying it would
+                // allocate on every call.
+                let m = self.hierarchy.populated_children(cell_idx).len();
+                let child = |this: &Self, k: usize| this.hierarchy.populated_children(cell_idx)[k];
+                if m < 2 {
                     self.leaf_gossip(cell_idx, epsilon_r, tx, rng);
                 } else {
                     // The affine exchanges are only stable when every child is
@@ -473,11 +485,10 @@ impl<'a> RoundBasedAffineGossip<'a> {
                     // child-leader exchanges until the cell's internal spread
                     // is below the accuracy target, capped at the paper's
                     // O(m·log(m/ε)) round count times a safety factor.
-                    let m = children.len();
                     let child_epsilon =
                         (epsilon_r * self.config.epsilon_decay).max(f64::MIN_POSITIVE);
-                    for &child in &children {
-                        self.average_cell(child, child_epsilon, tx, rng);
+                    for k in 0..m {
+                        self.average_cell(child(self, k), child_epsilon, tx, rng);
                     }
                     let planned = (self.config.rounds_factor
                         * m as f64
@@ -486,9 +497,9 @@ impl<'a> RoundBasedAffineGossip<'a> {
                     let cap = planned.saturating_mul(4).max(8);
                     let mut rounds = 0u64;
                     while self.cell_spread(cell_idx) > epsilon_r && rounds < cap {
-                        let i = children[rng.gen_range(0..m)];
+                        let i = child(self, rng.gen_range(0..m));
                         let j = loop {
-                            let cand = children[rng.gen_range(0..m)];
+                            let cand = child(self, rng.gen_range(0..m));
                             if cand != i {
                                 break cand;
                             }
@@ -510,35 +521,24 @@ impl<'a> RoundBasedAffineGossip<'a> {
     /// members' values around the cell mean, normalised by `max(|mean|, 1)`.
     /// This is the quantity the accuracy cascade `ε_r` of Section 4.1 bounds.
     fn cell_spread(&self, cell_idx: usize) -> f64 {
-        let members = self.hierarchy.members(cell_idx);
-        if members.len() <= 1 {
-            return 0.0;
-        }
-        let mean = members.iter().map(|&i| self.state.value(i)).sum::<f64>() / members.len() as f64;
-        let dev: f64 = members
-            .iter()
-            .map(|&i| {
-                let d = self.state.value(i) - mean;
-                d * d
-            })
-            .sum::<f64>()
-            .sqrt();
-        dev / mean.abs().max(1.0)
+        spread(self.hierarchy.members(cell_idx), &self.state)
     }
 
     /// Idealised local averaging: every member takes the cell mean; cost is
     /// one convergecast plus one broadcast over the cell (2 transmissions per
     /// member), charged as control traffic.
     fn exact_average(&mut self, cell_idx: usize, tx: &mut TransmissionCounter) {
-        let members = self.hierarchy.members(cell_idx);
+        let Self {
+            hierarchy, state, ..
+        } = self;
+        let members = hierarchy.members(cell_idx);
         if members.is_empty() {
             return;
         }
-        let sum: f64 = members.iter().map(|&m| self.state.value(m)).sum();
+        let sum: f64 = members.iter().map(|&m| state.value(m)).sum();
         let mean = sum / members.len() as f64;
-        let member_list: Vec<usize> = members.to_vec();
-        for m in member_list {
-            self.state.set(m, mean);
+        for &m in members {
+            state.set(m, mean);
         }
         tx.charge_control(2 * members.len() as u64);
     }
@@ -546,6 +546,19 @@ impl<'a> RoundBasedAffineGossip<'a> {
     /// Pairwise gossip restricted to the members of a leaf cell, run until the
     /// within-cell relative deviation drops below `epsilon_r` or the exchange
     /// cap is hit.
+    ///
+    /// **Draw order (frozen).** Each exchange draws one member `u` uniformly
+    /// from the cell's member list, then — only if `u` has an in-cell
+    /// neighbor — one partner uniformly from `u`'s in-cell neighbors taken in
+    /// CSR order. The draws depend only on the member count and the in-cell
+    /// neighbor count, so how membership is tested cannot move them.
+    ///
+    /// Membership is a mark, not a set: every member gets `stamp = cell + 1`
+    /// before the first exchange. A cell's member list never changes, so a
+    /// node still carrying that mark from an earlier call is a member too;
+    /// no generation counter is needed and nothing can wrap. The in-cell
+    /// neighbors are gathered into one reused buffer, so a call allocates
+    /// nothing.
     fn leaf_gossip<R: Rng + ?Sized>(
         &mut self,
         cell_idx: usize,
@@ -553,21 +566,33 @@ impl<'a> RoundBasedAffineGossip<'a> {
         tx: &mut TransmissionCounter,
         rng: &mut R,
     ) {
-        let members: Vec<usize> = self.hierarchy.members(cell_idx).to_vec();
+        let Self {
+            graph,
+            hierarchy,
+            state,
+            config,
+            stats,
+            stamp,
+            in_cell,
+        } = self;
+        let members = hierarchy.members(cell_idx);
         let m = members.len();
         if m <= 1 {
             return;
         }
-        let member_set: std::collections::HashSet<usize> = members.iter().copied().collect();
-        let cap = match self.config.local_averaging {
+        let cap = match config.local_averaging {
             LocalAveraging::Gossip {
                 max_exchanges_factor,
             } => ((max_exchanges_factor * (m * m) as f64).ceil() as u64).max(16),
             LocalAveraging::Exact => unreachable!("leaf_gossip is only called in Gossip mode"),
         };
 
-        if self.cell_spread(cell_idx) <= epsilon_r {
+        if spread(members, state) <= epsilon_r {
             return;
+        }
+        let mark = u32::try_from(cell_idx + 1).expect("cell index fits in u32");
+        for &u in members {
+            stamp[u] = mark;
         }
         let mut attempts = 0u64;
         loop {
@@ -578,32 +603,50 @@ impl<'a> RoundBasedAffineGossip<'a> {
             for _ in 0..m {
                 attempts += 1;
                 let u = members[rng.gen_range(0..m)];
-                let in_cell_neighbors: Vec<usize> = self
-                    .graph
-                    .neighbors(NodeId(u))
-                    .iter()
-                    .map(|&v| v as usize)
-                    .filter(|v| member_set.contains(v))
-                    .collect();
-                if in_cell_neighbors.is_empty() {
+                in_cell.clear();
+                in_cell.extend(
+                    graph
+                        .neighbors(NodeId(u))
+                        .iter()
+                        .filter(|&&v| stamp[v as usize] == mark),
+                );
+                if in_cell.is_empty() {
                     continue;
                 }
-                let v = in_cell_neighbors[rng.gen_range(0..in_cell_neighbors.len())];
-                let (nu, nv) = convex_average(self.state.value(u), self.state.value(v));
-                self.state.set(u, nu);
-                self.state.set(v, nv);
+                let v = in_cell[rng.gen_range(0..in_cell.len())] as usize;
+                let (nu, nv) = convex_average(state.value(u), state.value(v));
+                state.set(u, nu);
+                state.set(v, nv);
                 tx.charge_local(2);
-                self.stats.local_exchanges += 1;
+                stats.local_exchanges += 1;
             }
-            if self.cell_spread(cell_idx) <= epsilon_r {
+            if spread(members, state) <= epsilon_r {
                 return;
             }
             if attempts >= cap {
-                self.stats.stalled_local_passes += 1;
+                stats.stalled_local_passes += 1;
                 return;
             }
         }
     }
+}
+
+/// Relative spread of `members`' values: the ℓ₂ deviation around their mean,
+/// normalised by `max(|mean|, 1)` (see [`RoundBasedAffineGossip::cell_spread`]).
+fn spread(members: &[usize], state: &GossipState) -> f64 {
+    if members.len() <= 1 {
+        return 0.0;
+    }
+    let mean = members.iter().map(|&i| state.value(i)).sum::<f64>() / members.len() as f64;
+    let dev: f64 = members
+        .iter()
+        .map(|&i| {
+            let d = state.value(i) - mean;
+            d * d
+        })
+        .sum::<f64>()
+        .sqrt();
+    dev / mean.abs().max(1.0)
 }
 
 /// The round-based protocol as a **self-paced [`Activation`]**, so it can be
@@ -655,7 +698,7 @@ impl<'a> RoundBasedActivation<'a> {
         }
         let inner = RoundBasedAffineGossip::new(graph, initial_values, config)?;
         let child_epsilon = (epsilon * config.epsilon_decay).max(f64::MIN_POSITIVE);
-        let top_children = inner.hierarchy.populated_children(0);
+        let top_children = inner.hierarchy.populated_children(0).to_vec();
         let stall_window = (20 * top_children.len().max(2)) as u64;
         let effective_alpha_top = top_children
             .first()
@@ -993,6 +1036,49 @@ mod tests {
                 "final errors diverged for {config:?}"
             );
         }
+    }
+
+    #[test]
+    fn leaf_without_in_cell_neighbors_stops_at_its_attempt_cap() {
+        // A radius far below any sensor spacing leaves every sensor without a
+        // neighbor, so no exchange can happen and only the cap ends the pass.
+        let pts = sample_unit_square(256, &mut ChaCha8Rng::seed_from_u64(17));
+        let g = GeometricGraph::build(pts, 1e-9);
+        assert_eq!(g.edge_count(), 0);
+        let values: Vec<f64> = (0..g.len()).map(|i| i as f64).collect();
+        let config = RoundBasedConfig::practical(g.len());
+        let mut gossip = RoundBasedAffineGossip::new(&g, values, config).unwrap();
+        let hierarchy = gossip.hierarchy();
+        let leaf = (0..hierarchy.partition().num_cells())
+            .find(|&c| hierarchy.populated_children(c).len() < 2 && hierarchy.members(c).len() >= 2)
+            .expect("a leaf with at least two members");
+        let m = hierarchy.members(leaf).len();
+        let before = gossip.state().values().to_vec();
+
+        let mut rng = ChaCha8Rng::seed_from_u64(18);
+        let mut tx = TransmissionCounter::new();
+        gossip.leaf_gossip(leaf, 1e-3, &mut tx, &mut rng);
+
+        let stats = gossip.stats();
+        assert_eq!(stats.stalled_local_passes, 1);
+        assert_eq!(stats.local_exchanges, 0);
+        assert_eq!(tx.total(), 0);
+        assert_eq!(gossip.state().values(), &before[..]);
+        // The pass ran whole batches of `m` attempts until it reached the
+        // cap, each taking exactly one member draw and no neighbor draw.
+        let LocalAveraging::Gossip {
+            max_exchanges_factor,
+        } = config.local_averaging
+        else {
+            unreachable!("the practical config gossips locally")
+        };
+        let cap = ((max_exchanges_factor * (m * m) as f64).ceil() as u64).max(16);
+        let attempts = cap.div_ceil(m as u64) * m as u64;
+        let mut reference = ChaCha8Rng::seed_from_u64(18);
+        for _ in 0..attempts {
+            let _ = reference.gen_range(0..m);
+        }
+        assert_eq!(rng.next_u64(), reference.next_u64());
     }
 
     #[test]

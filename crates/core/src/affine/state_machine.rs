@@ -225,6 +225,8 @@ pub struct AffineStateMachine<'a> {
     led_cells: Vec<Vec<usize>>,
     /// Sibling (same parent, populated, excluding self) cells per cell.
     siblings: Vec<Vec<usize>>,
+    /// `Near`'s candidate partners for the current tick, reused across ticks.
+    candidates: Vec<u32>,
     stats: StateMachineStats,
 }
 
@@ -281,6 +283,7 @@ impl<'a> AffineStateMachine<'a> {
             counter: vec![0; num_cells],
             led_cells,
             siblings,
+            candidates: Vec::new(),
             stats: StateMachineStats::default(),
         };
         // Initialisation: the root square's global.state is on, everything
@@ -339,20 +342,22 @@ impl<'a> AffineStateMachine<'a> {
         rng: &mut R,
         faults: &FaultContext<'_>,
     ) {
-        let leaf = self.hierarchy.leaf_of(NodeId(s));
-        let members = self.hierarchy.members(leaf);
-        // Candidate partners: graph neighbors that share the leaf square.
-        let candidates: Vec<usize> = self
-            .graph
-            .neighbors(NodeId(s))
-            .iter()
-            .map(|&v| v as usize)
-            .filter(|v| members.contains(v))
-            .collect();
-        if candidates.is_empty() {
+        // Candidate partners: graph neighbors that share the leaf square, in
+        // CSR order. Every sensor lies in exactly one leaf, so comparing leaf
+        // indices is the membership test (O(1) per neighbor).
+        let hierarchy = &self.hierarchy;
+        let leaf = hierarchy.leaf_of(NodeId(s));
+        self.candidates.clear();
+        self.candidates.extend(
+            self.graph
+                .neighbors(NodeId(s))
+                .iter()
+                .filter(|&&v| hierarchy.leaf_of(NodeId(v as usize)) == leaf),
+        );
+        if self.candidates.is_empty() {
             return;
         }
-        let v = candidates[rng.gen_range(0..candidates.len())];
+        let v = self.candidates[rng.gen_range(0..self.candidates.len())] as usize;
         tx.charge_local(2);
         if faults.dropped {
             return;
@@ -437,9 +442,8 @@ impl<'a> AffineStateMachine<'a> {
         let children = self.hierarchy.populated_children(cell);
         if children.len() < 2 {
             // Leaf square (level-1 leader): flood local.state := on.
-            let members: Vec<usize> = self.hierarchy.members(cell).to_vec();
             if let Some(leader) = self.hierarchy.leader(cell) {
-                let outcome = flood_cell(self.graph, &members, leader);
+                let outcome = flood_cell(self.graph, self.hierarchy.members(cell), leader);
                 tx.charge_control(outcome.transmissions as u64);
                 for node in outcome.reached {
                     self.local_state[node.index()] = true;
@@ -449,7 +453,7 @@ impl<'a> AffineStateMachine<'a> {
             // Higher square: switch the child leaders' global.state on by
             // routing a control packet to each of them.
             if let Some(leader) = self.hierarchy.leader(cell) {
-                for child in children {
+                for &child in children {
                     if let Some(child_leader) = self.hierarchy.leader(child) {
                         let (route, delivered) =
                             route_terminus_to_node(self.graph, leader, child_leader);
@@ -469,16 +473,15 @@ impl<'a> AffineStateMachine<'a> {
     fn deactivate_square(&mut self, cell: usize, tx: &mut TransmissionCounter) {
         let children = self.hierarchy.populated_children(cell);
         if children.len() < 2 {
-            let members: Vec<usize> = self.hierarchy.members(cell).to_vec();
             if let Some(leader) = self.hierarchy.leader(cell) {
-                let outcome = flood_cell(self.graph, &members, leader);
+                let outcome = flood_cell(self.graph, self.hierarchy.members(cell), leader);
                 tx.charge_control(outcome.transmissions as u64);
                 for node in outcome.reached {
                     self.local_state[node.index()] = false;
                 }
             }
         } else if let Some(leader) = self.hierarchy.leader(cell) {
-            for child in children {
+            for &child in children {
                 if let Some(child_leader) = self.hierarchy.leader(child) {
                     let (route, delivered) =
                         route_terminus_to_node(self.graph, leader, child_leader);
